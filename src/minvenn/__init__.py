@@ -4,131 +4,34 @@ Build plane spanning subgraphs of the hypercube whose faces are the
 crossings of an n-Venn diagram: a concentric construction from an isometric
 cycle partition when n is a power of two, and a doubling step for every
 other n >= 8.  Everything is verified independently of the construction.
+
+The names below are the documented entry points; everything else is
+importable from its own module.
 """
 
-from .bases import (
-    Basis,
-    CrossEdgeSet,
-    basis_B,
-    basis_C,
-    basis_O,
-    check_pairwise_distinct_endpoints,
-    cross_edge_set,
-    partition_cycles,
-    ramras_cycle,
-    ramras_path,
-    spans_equal,
-)
-from .builder import (
-    BuildError,
-    BuildStep,
-    BuildTrace,
-    FaceCatalogMismatch,
-    build_venn_dual,
-    check_face_catalog,
-    partition_preview_graph,
-)
-from .doubling import ColorfulFace, DoublingError, build_venn, double, find_colorful_face
-from .export import (
-    RenderError,
-    dump_json,
-    from_json,
-    render_dual_svg,
-    render_primal_svg,
-    to_dot,
-    to_json,
-)
-from .hypercube import (
-    CubeCycle,
-    CubePath,
-    DimensionMismatch,
-    FlipSequence,
-    VertexSet,
-    antipode,
-    in_span,
-    is_isometric,
-    rank_gf2,
-    span,
-    symm_diff,
-    walk,
-)
-from .plane_graph import Face, PlaneDualGraph, crossing_count, trace_faces
-from .runs import (
-    Run,
-    RunPartition,
-    brgc,
-    is_hamiltonian_path,
-    longrun_path,
-    mu,
-    product_path,
-    run_partition,
-)
-from .verify import (
-    VerificationReport,
-    expected_crossings,
-    lower_bound,
-    monotone_reference,
-    verify_graph,
-)
+from .bases import partition_cycles
+from .builder import BuildError, FaceCatalogMismatch, build_venn_dual
+from .doubling import DoublingError, build_venn, double
+from .export import DocumentError, RenderError, from_json, to_json
+from .plane_graph import InconsistentRotation, PlaneDualGraph
+from .runs import longrun_path, run_partition
+from .verify import verify_graph
 
 __all__ = [
-    "Basis",
     "BuildError",
-    "BuildStep",
-    "BuildTrace",
-    "ColorfulFace",
-    "CrossEdgeSet",
-    "CubeCycle",
-    "CubePath",
-    "DimensionMismatch",
+    "DocumentError",
     "DoublingError",
-    "Face",
     "FaceCatalogMismatch",
-    "FlipSequence",
+    "InconsistentRotation",
     "PlaneDualGraph",
     "RenderError",
-    "Run",
-    "RunPartition",
-    "VerificationReport",
-    "VertexSet",
-    "antipode",
-    "basis_B",
-    "basis_C",
-    "basis_O",
-    "brgc",
     "build_venn",
     "build_venn_dual",
-    "check_face_catalog",
-    "check_pairwise_distinct_endpoints",
-    "cross_edge_set",
-    "crossing_count",
     "double",
-    "dump_json",
-    "expected_crossings",
-    "find_colorful_face",
     "from_json",
-    "in_span",
-    "is_hamiltonian_path",
-    "is_isometric",
     "longrun_path",
-    "lower_bound",
-    "monotone_reference",
-    "mu",
     "partition_cycles",
-    "partition_preview_graph",
-    "product_path",
-    "ramras_cycle",
-    "ramras_path",
-    "rank_gf2",
-    "render_dual_svg",
-    "render_primal_svg",
     "run_partition",
-    "span",
-    "spans_equal",
-    "symm_diff",
-    "to_dot",
     "to_json",
-    "trace_faces",
     "verify_graph",
-    "walk",
 ]

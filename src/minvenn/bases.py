@@ -13,30 +13,23 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .hypercube import (
-    CubeCycle,
-    CubePath,
-    DimensionMismatch,
-    FlipSequence,
-    VertexSet,
+    DEFAULT_CAP,
+    MAX_LEVEL,
+    Path,
+    elements_of,
     in_span,
+    mask_of,
     rank_gf2,
     span,
 )
 
-# Full 2^n vertex materialization is desk-scale only up to here.
-DEFAULT_CAP = 16
-# Ground sets are bitmasks, so basis levels stop at 2^k = 32.
-MAX_LEVEL = 5
-
-CROSS_KINDS = ("E", "E_down", "E_up", "F")
-
 
 @dataclass(frozen=True)
 class Basis:
-    """An ordered GF(2) basis of 2-element subsets over the ground set [2^k]."""
+    """An ordered GF(2) basis of 2-element subsets of [2^k], each a bitmask."""
 
     k: int
-    elements: tuple[VertexSet, ...]
+    elements: tuple[int, ...]
 
     @property
     def ground_n(self) -> int:
@@ -53,12 +46,11 @@ def _check_level(k: int) -> None:
 def basis_B(k: int) -> Basis:
     """Classic basis: level k adds {i, 2^(k-1)+i} for 1 <= i <= 2^(k-1)-1."""
     _check_level(k)
-    n = 1 << k
     pairs: list[tuple[int, int]] = []
     for level in range(2, k + 1):
         half = 1 << (level - 1)
         pairs.extend((i, half + i) for i in range(1, half))
-    return Basis(k, tuple(VertexSet.from_elements(p, n) for p in pairs))
+    return Basis(k, tuple(map(mask_of, pairs)))
 
 
 def _o_pairs(k: int) -> list[tuple[int, int]]:
@@ -74,15 +66,13 @@ def _c_pairs(k: int) -> list[tuple[int, int]]:
 def basis_O(k: int) -> Basis:
     """The odd chain {1,3}, {3,5}, ..., {2^k-3, 2^k-1}."""
     _check_level(k)
-    n = 1 << k
-    return Basis(k, tuple(VertexSet.from_elements(p, n) for p in _o_pairs(k)))
+    return Basis(k, tuple(map(mask_of, _o_pairs(k))))
 
 
 def basis_C(k: int) -> Basis:
     """Alternative basis: the odd chain followed by the doubled level below it."""
     _check_level(k)
-    n = 1 << k
-    return Basis(k, tuple(VertexSet.from_elements(p, n) for p in _c_pairs(k)))
+    return Basis(k, tuple(map(mask_of, _c_pairs(k))))
 
 
 def check_pairwise_distinct_endpoints(basis: Basis) -> bool:
@@ -90,9 +80,9 @@ def check_pairwise_distinct_endpoints(basis: Basis) -> bool:
     lows = []
     highs = []
     for e in basis.elements:
-        elems = e.elements()
+        elems = elements_of(e)
         if len(elems) != 2:
-            raise ValueError(f"basis element {e!r} is not a 2-set")
+            raise ValueError(f"basis element {elems} is not a 2-set")
         lows.append(elems[0])
         highs.append(elems[1])
     return len(set(lows)) == len(lows) and len(set(highs)) == len(highs)
@@ -104,66 +94,55 @@ def spans_equal(b1: Basis, b2: Basis) -> bool:
     Membership is decided by elimination, so the spans are never materialized.
     """
     if b1.ground_n != b2.ground_n:
-        raise DimensionMismatch("bases live over different ground sets")
+        raise ValueError("bases live over different ground sets")
     if rank_gf2(b1.elements) != rank_gf2(b2.elements):
         return False
     return all(in_span(e, b2.elements) for e in b1.elements)
 
 
-def ramras_path(x: VertexSet, n: int) -> CubePath:
+def ramras_path(x: int, n: int) -> Path:
     """The isometric path of length n-1 in Q_{n-1} through x with flips (1, ..., n-1)."""
     if n < 2:
         raise ValueError(f"need n >= 2, got {n}")
-    if x.bits >> (n - 1):
-        raise ValueError(f"start {x!r} uses elements >= {n}")
-    start = VertexSet(x.bits, n - 1)
-    return CubePath(start, FlipSequence(tuple(range(1, n)), n - 1))
+    if x >> (n - 1):
+        raise ValueError(f"start {x:#x} uses elements >= {n}")
+    return Path(x, tuple(range(1, n)))
 
 
-def ramras_cycle(x: VertexSet, n: int) -> CubeCycle:
-    """The isometric 2n-cycle in Q_n through x with flips (1, ..., n, 1, ..., n)."""
-    if n < 2:
-        raise ValueError(f"need n >= 2, got {n}")
-    if x.bits >> (n - 1):
-        raise ValueError(f"start {x!r} uses elements >= {n}")
-    start = VertexSet(x.bits, n)
-    return CubeCycle(start, FlipSequence(tuple(range(1, n + 1)) * 2, n))
+def partition_cycles(k: int, cap: int = DEFAULT_CAP) -> list[list[int]]:
+    """The isometric 2n-cycles through every span member, as vertex lists.
 
-
-def partition_cycles(k: int, cap: int = DEFAULT_CAP) -> list[CubeCycle]:
-    """The 2n-cycles through every span member, a partition of V(Q_n) for n = 2^k."""
+    They partition V(Q_n) for n = 2^k.  The cycle through x flips
+    (1, ..., n, 1, ..., n) from x; its list starts at x and omits the
+    closing return to x.
+    """
     _check_level(k)
     n = 1 << k
     if n > cap:
         raise ValueError(f"Q_{n} exceeds the materialization cap {cap}")
-    basis = basis_C(k)
-    members = sorted(span(basis.elements, n=n), key=lambda v: v.bits)
-    return [ramras_cycle(x, n) for x in members]
+    prefixes = ring_prefixes(n)
+    return [[x ^ m for m in prefixes] for x in span(basis_C(k).elements)]
 
 
 def ring_prefixes(n: int) -> list[int]:
     """Masks m_p with ring vertex p equal to base ^ m_p, p = 0, ..., 2n-1.
 
     Positions 0..n walk the flips 1..n from the base vertex; positions past n
-    continue from the antipode.
+    continue from the complement of the base vertex.
     """
     full = (1 << n) - 1
     pref = [(1 << j) - 1 for j in range(n + 1)]
     return pref + [full ^ pref[t] for t in range(1, n)]
 
 
-@dataclass(frozen=True)
-class CrossEdgeSet:
-    """Edges of one kind between the cycles through x and through x (+) pair."""
+def cross_edges(x: int, a: int, b: int, kind: str, n: int) -> tuple[tuple[int, int], ...]:
+    """Edges between the cycles through x and through y = x (+) {a, b}.
 
-    kind: str
-    x: VertexSet
-    pair: VertexSet
-    edges: tuple[tuple[VertexSet, VertexSet], ...]
-
-
-def cross_edges_bits(x: int, a: int, b: int, kind: str, n: int) -> tuple[tuple[int, int], ...]:
-    """Cross edges as (outer, inner) bitmask pairs; see cross_edge_set."""
+    Kinds: "E" is the four-edge set for a generic pair {a, b}; "E_down" and
+    "E_up" are the three-edge sets for pairs {a, a+2}, each edge an (outer,
+    inner) pair with outer on the cycle through x; "F" is the 4-cycle whose
+    symmetric difference merges the two 2n-cycles into one 4n-cycle.
+    """
     if not 1 <= a < b <= n:
         raise ValueError(f"need 1 <= a < b <= n, got a={a}, b={b}, n={n}")
     full = (1 << n) - 1
@@ -216,23 +195,3 @@ def cross_edges_bits(x: int, a: int, b: int, kind: str, n: int) -> tuple[tuple[i
         )
     raise ValueError(f"unknown cross edge kind {kind!r}")
 
-
-def cross_edge_set(x: VertexSet, pair: VertexSet, kind: str) -> CrossEdgeSet:
-    """Edges between the cycles through x and through y = x (+) pair.
-
-    Kinds: "E" is the four-edge set for a generic pair {a, b}; "E_down" and
-    "E_up" are the three-edge sets for pairs {a, a+2}; "F" is the 4-cycle
-    whose symmetric difference merges the two 2n-cycles into one 4n-cycle.
-    """
-    if kind not in CROSS_KINDS:
-        raise ValueError(f"unknown cross edge kind {kind!r}")
-    n = x.n
-    if pair.n != n:
-        raise DimensionMismatch(f"pair has n={pair.n}, expected {n}")
-    elems = pair.elements()
-    if len(elems) != 2:
-        raise ValueError(f"pair {pair!r} is not a 2-set")
-    a, b = elems
-    raw = cross_edges_bits(x.bits, a, b, kind, n)
-    edges = tuple((VertexSet(p, n), VertexSet(q, n)) for p, q in raw)
-    return CrossEdgeSet(kind, x, pair, edges)

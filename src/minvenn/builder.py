@@ -19,8 +19,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .bases import DEFAULT_CAP, basis_C, cross_edges_bits, ring_prefixes
-from .hypercube import mask_of, span_bits
+from .bases import basis_C, cross_edges, ring_prefixes
+from .hypercube import DEFAULT_CAP, elements_of, span
 from .plane_graph import Face, PlaneDualGraph, crossing_count, trace_faces
 from .runs import INCREASING, longrun_path, product_path, run_partition
 
@@ -61,7 +61,7 @@ class BuildTrace:
 
 def coefficient_order(k: int) -> tuple[tuple[int, int], ...]:
     """Build order of the basis: odd chain {2i-1, 2i+1} first, doubled part after."""
-    return tuple(e.elements() for e in basis_C(k).elements)
+    return tuple(map(elements_of, basis_C(k).elements))
 
 
 def driving_path(k: int):
@@ -97,13 +97,13 @@ def build_venn_dual(
     rho = n // 2 - 1
 
     path = driving_path(k)
-    if path.flips.n != d:
-        raise BuildError(f"driving path lives in Q_{path.flips.n}, expected Q_{d}")
-    sigma = path.flips.entries
-    parts = run_partition(path.flips, rho, tie_break=tie_break)
+    sigma = path.flips
+    if any(not 1 <= s <= d for s in sigma):
+        raise BuildError(f"driving path leaves Q_{d}")
+    parts = run_partition(sigma, rho, tie_break=tie_break)
 
     coeffs = coefficient_order(k)
-    cmasks = [mask_of(p) for p in coeffs]
+    cmasks = basis_C(k).elements
     xs = [0]
     for s in sigma:
         xs.append(xs[-1] ^ cmasks[s - 1])
@@ -121,11 +121,11 @@ def build_venn_dual(
             a = 2 * s - 1
             orient = parts.runs[parts.run_index[t]].orientation
             kind = "E_down" if orient == INCREASING else "E_up"
-            edges = cross_edges_bits(x, a, a + 2, kind, n)
+            edges = cross_edges(x, a, a + 2, kind, n)
         else:
             a, b = coeffs[s - 1]
             kind = "E"
-            edges = cross_edges_bits(x, a, b, kind, n)
+            edges = cross_edges(x, a, b, kind, n)
         for u, v in edges:
             if u in cross_in or v in cross_out:
                 raise BuildError(f"cross edge endpoint collision at gap {t}")
@@ -144,36 +144,7 @@ def build_venn_dual(
                 removed.add(removal)
         steps.append(BuildStep(gap=t, s=s, kind=kind, added=edges, removed=removal))
 
-    prefixes = ring_prefixes(n)
-    two_n = 2 * n
-    rotation: dict[int, list[int]] = {}
-    layout: dict[int, tuple[int, int]] = {}
-    for ri in range(nrings):
-        ring = [xs[ri] ^ m for m in prefixes]
-        for p, v in enumerate(ring):
-            layout[v] = (ri + 1, p)
-            # Cyclic order: successor on the ring, inward cross edge,
-            # predecessor on the ring, outward cross edge.
-            order = []
-            nxt = ring[(p + 1) % two_n]
-            prv = ring[(p - 1) % two_n]
-            if _edge_key(v, nxt) not in removed:
-                order.append(nxt)
-            if v in cross_in:
-                order.append(cross_in[v])
-            if _edge_key(v, prv) not in removed:
-                order.append(prv)
-            if v in cross_out:
-                order.append(cross_out[v])
-            rotation[v] = order
-
-    g = PlaneDualGraph(
-        n=n,
-        rotation=rotation,
-        outer_edge=(xs[0], xs[0] ^ 1),
-        construction=(k, 0),
-        layout=layout,
-    )
+    g = _concentric_graph(xs, n, (k, 0), cross_in, cross_out, removed)
     trace = BuildTrace(
         k=k,
         n=n,
@@ -207,21 +178,50 @@ def partition_preview_graph(k: int, cap: int = DEFAULT_CAP) -> PlaneDualGraph:
     n = 1 << k
     if n > cap:
         raise BuildError(f"n={n} exceeds the materialization cap {cap}")
-    bases = span_bits([e.bits for e in basis_C(k).elements])
+    return _concentric_graph(span(basis_C(k).elements), n, None, {}, {}, set())
+
+
+def _concentric_graph(
+    ring_bases: list[int],
+    n: int,
+    construction: tuple[int, int] | None,
+    cross_in: dict[int, int],
+    cross_out: dict[int, int],
+    removed: set[tuple[int, int]],
+) -> PlaneDualGraph:
+    """Nest the 2n-cycles through ring_bases, outermost first, into one plane graph.
+
+    cross_in and cross_out map a vertex to its inward and outward cross edge
+    neighbor; ring edges in removed are left out.  The outer face is the
+    outermost ring.
+    """
     prefixes = ring_prefixes(n)
     two_n = 2 * n
     rotation: dict[int, list[int]] = {}
     layout: dict[int, tuple[int, int]] = {}
-    for ri, base in enumerate(bases):
+    for ri, base in enumerate(ring_bases):
         ring = [base ^ m for m in prefixes]
         for p, v in enumerate(ring):
             layout[v] = (ri + 1, p)
-            rotation[v] = [ring[(p + 1) % two_n], ring[(p - 1) % two_n]]
+            # Cyclic order: successor on the ring, inward cross edge,
+            # predecessor on the ring, outward cross edge.
+            order = []
+            nxt = ring[(p + 1) % two_n]
+            prv = ring[(p - 1) % two_n]
+            if _edge_key(v, nxt) not in removed:
+                order.append(nxt)
+            if v in cross_in:
+                order.append(cross_in[v])
+            if _edge_key(v, prv) not in removed:
+                order.append(prv)
+            if v in cross_out:
+                order.append(cross_out[v])
+            rotation[v] = order
     return PlaneDualGraph(
         n=n,
         rotation=rotation,
-        outer_edge=(bases[0], bases[0] ^ 1),
-        construction=None,
+        outer_edge=(ring_bases[0], ring_bases[0] ^ 1),
+        construction=construction,
         layout=layout,
     )
 

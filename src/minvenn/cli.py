@@ -11,7 +11,7 @@ import argparse
 import json
 import sys
 
-from .bases import DEFAULT_CAP, partition_cycles
+from .bases import partition_cycles
 from .builder import BuildError, partition_preview_graph
 from .doubling import build_venn
 from .export import (
@@ -23,10 +23,9 @@ from .export import (
     to_dot,
     to_json,
 )
+from .hypercube import DEFAULT_CAP, MAX_CAP
 from .runs import mu, product_path, run_partition
 from .verify import expected_crossings, lower_bound, monotone_reference, verify_graph
-
-MAX_CAP = 20
 
 
 def _emit(text: str, out_path: str | None) -> None:
@@ -71,7 +70,7 @@ def _cmd_verify(args, parser) -> int:
         with open(args.file, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
         g = from_json(doc)
-    except (OSError, ValueError, KeyError, TypeError) as exc:
+    except (OSError, ValueError) as exc:
         parser.error(f"cannot load {args.file}: {exc}")
     report = verify_graph(g)
     print(report.format_text(), file=sys.stderr)
@@ -109,12 +108,12 @@ def _cmd_gray(args, parser) -> int:
         path = product_path(args.k, args.m)
     except ValueError as exc:
         parser.error(str(exc))
-    lines = [" ".join(map(str, path.flips.entries))]
+    lines = [" ".join(map(str, path.flips))]
     if args.stats:
         n = 1 << args.k
         parts = run_partition(path.flips, n - 1)
         lines.append(
-            f"length={len(path.flips)} n={path.flips.n} rho={n - 1} "
+            f"length={len(path.flips)} n={n + args.m} rho={n - 1} "
             f"nu={parts.nu} lambda={parts.lam} mu={mu(path.flips)}"
         )
     _emit("\n".join(lines) + "\n", args.out)
@@ -130,18 +129,15 @@ def _cmd_partition(args, parser) -> int:
     if args.format == "svg-dual":
         _emit(render_dual_svg(partition_preview_graph(args.k)), args.out)
     else:
-        lines = []
-        for c in cycles:
-            verts = [v.bits for v in c.vertices()]
-            lines.append(f"x={c.start.bits}: " + " ".join(map(str, verts)))
+        lines = [f"x={c[0]}: " + " ".join(map(str, c)) for c in cycles]
         _emit("\n".join(lines) + "\n", args.out)
     seen: set[int] = set()
     ok = True
     for c in cycles:
-        for v in c.vertices():
-            if v.bits in seen:
+        for v in c:
+            if v in seen:
                 ok = False
-            seen.add(v.bits)
+            seen.add(v)
     ok = ok and len(seen) == (1 << n)
     print(
         f"partition check: {'PASS' if ok else 'FAIL'} "

@@ -11,9 +11,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .bases import DEFAULT_CAP
 from .builder import BuildError, build_venn_dual
-from .hypercube import MAX_DIMENSION
+from .hypercube import DEFAULT_CAP, MAX_DIMENSION
 from .plane_graph import Face, PlaneDualGraph, trace_faces
 
 
@@ -28,11 +27,11 @@ class ColorfulFace:
     index: int
     face: Face
     vertex: int
-    antipode: int
+    complement: int
 
 
 def _colorful_vertex(face: Face, n: int) -> int | None:
-    """Lexicographically smallest vertex of the face whose antipode is also on it."""
+    """Lexicographically smallest vertex of the face whose complement is also on it."""
     if len(face) != 2 * n:
         return None
     verts = face.vertices
@@ -55,7 +54,7 @@ def find_colorful_face(g: PlaneDualGraph) -> ColorfulFace | None:
     for idx in order:
         v = _colorful_vertex(faces[idx], g.n)
         if v is not None:
-            return ColorfulFace(index=idx, face=faces[idx], vertex=v, antipode=v ^ full)
+            return ColorfulFace(index=idx, face=faces[idx], vertex=v, complement=v ^ full)
     return None
 
 
@@ -87,14 +86,14 @@ def double(g: PlaneDualGraph) -> PlaneDualGraph:
     verts = cf.face.vertices
     length = len(verts)
     i = verts.index(cf.vertex)
-    j = verts.index(cf.antipode)
+    j = verts.index(cf.complement)
     # Each new edge sits in the face corner it splits: after the walk
     # predecessor in the original copy, after the walk successor's image in
     # the mirrored copy.
     _insert_after(rotation[cf.vertex], verts[(i - 1) % length], cf.vertex | bit)
-    _insert_after(rotation[cf.antipode], verts[(j - 1) % length], cf.antipode | bit)
+    _insert_after(rotation[cf.complement], verts[(j - 1) % length], cf.complement | bit)
     _insert_after(rotation[cf.vertex | bit], verts[(i + 1) % length] | bit, cf.vertex)
-    _insert_after(rotation[cf.antipode | bit], verts[(j + 1) % length] | bit, cf.antipode)
+    _insert_after(rotation[cf.complement | bit], verts[(j + 1) % length] | bit, cf.complement)
 
     construction = None
     if g.construction is not None:

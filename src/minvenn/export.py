@@ -12,13 +12,17 @@ from __future__ import annotations
 import json
 from math import atan2, cos, hypot, pi, sin
 
-from .hypercube import elements_of
+from .hypercube import MAX_DIMENSION, MAX_LEVEL, elements_of
 from .plane_graph import PlaneDualGraph, rotation_problems, trace_faces
 from .verify import face_cycle, verify_graph
 
 
 class RenderError(ValueError):
     """The graph cannot be drawn in the requested style."""
+
+
+class DocumentError(ValueError):
+    """A JSON document is malformed or disagrees with its own rotation system."""
 
 
 def to_json(g: PlaneDualGraph, trace=None, report=None) -> dict:
@@ -69,28 +73,80 @@ def dump_json(doc: dict) -> str:
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
+def _require(ok: bool, problem: str) -> None:
+    if not ok:
+        raise DocumentError(problem)
+
+
+def _int_lists(values, length: int | None = None) -> bool:
+    """Whether every value is a list of ints, of the given length if one is set."""
+    return all(
+        type(v) is list and (length is None or len(v) == length) for v in values
+    ) and all(type(x) is int for v in values for x in v)
+
+
+def _int_keys(table: dict, field: str) -> list[int]:
+    try:
+        return list(map(int, table))
+    except (TypeError, ValueError):
+        raise DocumentError(f"{field} has a key that is not a vertex number") from None
+
+
 def from_json(doc: dict) -> PlaneDualGraph:
-    """Rebuild a graph from a to_json document, validating it on the way."""
-    n = int(doc["n"])
-    rotation = {int(v): [int(u) for u in nbrs] for v, nbrs in doc["rotation"].items()}
+    """Rebuild a graph from a to_json document, validating it on the way.
+
+    Raises DocumentError on any malformed document.  n and the construction
+    level k are bounded before anything of size 2^n or 2^k is built.
+    """
+    _require(isinstance(doc, dict), "document is not a JSON object")
+    n = doc.get("n")
+    _require(
+        type(n) is int and 1 <= n <= MAX_DIMENSION,
+        f"n must be an integer in [1, {MAX_DIMENSION}]",
+    )
+    table = doc.get("rotation")
+    _require(
+        isinstance(table, dict) and _int_lists(table.values()),
+        "rotation must map each vertex to a list of integers",
+    )
+    rotation = dict(zip(_int_keys(table, "rotation"), map(list, table.values())))
     problems = rotation_problems(rotation, n)
     if problems:
-        raise ValueError(f"document rotation is inconsistent: {problems[0]}")
-    stored_faces = doc["faces"]
-    outer_index = int(doc["outer_face"])
-    if not 0 <= outer_index < len(stored_faces):
-        raise ValueError(f"outer face index {outer_index} out of range")
-    walk = stored_faces[outer_index]["vertices"]
+        raise DocumentError(f"document rotation is inconsistent: {problems[0]}")
+    stored_faces = doc.get("faces")
+    _require(
+        isinstance(stored_faces, list) and all(isinstance(f, dict) for f in stored_faces),
+        "faces must be a list of objects",
+    )
+    outer_index = doc.get("outer_face")
+    _require(
+        type(outer_index) is int and 0 <= outer_index < len(stored_faces),
+        "outer face index out of range",
+    )
+    walk = stored_faces[outer_index].get("vertices")
+    _require(_int_lists([walk]) and len(walk) >= 2, "outer face needs at least 2 vertices")
     construction = None
-    if doc.get("construction"):
-        construction = (int(doc["construction"]["k"]), int(doc["construction"]["m"]))
+    spec = doc.get("construction")
+    if spec is not None:
+        _require(isinstance(spec, dict), "construction must be an object")
+        k, m = spec.get("k"), spec.get("m")
+        _require(
+            type(k) is int and 3 <= k <= MAX_LEVEL and type(m) is int and 0 <= m < (1 << k),
+            f"construction needs integers 3 <= k <= {MAX_LEVEL} and 0 <= m < 2^k",
+        )
+        construction = (k, m)
     layout = None
-    if doc.get("layout_hint"):
-        layout = {int(v): (int(r), int(p)) for v, (r, p) in doc["layout_hint"].items()}
+    hint = doc.get("layout_hint")
+    if hint is not None:
+        _require(
+            isinstance(hint, dict) and _int_lists(hint.values(), 2),
+            "layout_hint must map each vertex to a [ring, position] pair",
+        )
+        layout = dict(zip(_int_keys(hint, "layout_hint"), map(tuple, hint.values())))
     g = PlaneDualGraph(
         n=n,
         rotation=rotation,
-        outer_edge=(int(walk[0]), int(walk[1])),
+        outer_edge=(walk[0], walk[1]),
         construction=construction,
         layout=layout,
     )
@@ -98,7 +154,7 @@ def from_json(doc: dict) -> PlaneDualGraph:
         {"vertices": list(f.vertices), "flips": list(f.flips)} for f in trace_faces(g)
     ]
     if retraced != stored_faces:
-        raise ValueError("stored faces disagree with the rotation system")
+        raise DocumentError("stored faces disagree with the rotation system")
     return g
 
 

@@ -2,23 +2,35 @@
 
 A vertex of Q_n is a subset of [n] = {1, ..., n}, stored as an int bitmask
 with element i on bit i-1.  Two vertices are adjacent when they differ in a
-single element; that element is the direction of the edge.  Everything here
-is a pure function over immutable values and safe to share across threads.
+single element; that element is the direction of the edge.  A flip sequence
+is a tuple of directions, and a path is its start vertex with its flips.
+Everything here is a pure function over immutable values and safe to share
+across threads.
+
+This module is also the single home of every size limit in the package.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
+# Full 2^n vertex materialization is desk-scale only up to here by default.
+DEFAULT_CAP = 16
+# The largest cap a caller may ask for; flip sequences stop here as well.
+MAX_CAP = 20
 # Masks live in a machine word; materialized graphs stay far below this.
 MAX_DIMENSION = 32
+# Ground sets [2^k] of the bases must fit the mask, so levels stop at k = 5.
+MAX_LEVEL = MAX_DIMENSION.bit_length() - 1
 # Eager span materialization refuses more than 2^28 combinations.
 SPAN_GUARD = 28
 
 
-class DimensionMismatch(ValueError):
-    """Operands live in hypercubes of different dimension."""
+class Path(NamedTuple):
+    """A walk in Q_n: its start vertex and the directions it flips in turn."""
+
+    start: int
+    flips: tuple[int, ...]
 
 
 def mask_of(elements: Iterable[int]) -> int:
@@ -49,174 +61,45 @@ def edge_direction(u: int, v: int) -> int:
     return diff.bit_length()
 
 
-@dataclass(frozen=True)
-class VertexSet:
-    """A subset of [n], i.e. a vertex of Q_n."""
-
-    bits: int
-    n: int
-
-    def __post_init__(self) -> None:
-        if not 1 <= self.n <= MAX_DIMENSION:
-            raise ValueError(f"dimension must be in [1, {MAX_DIMENSION}], got {self.n}")
-        if self.bits < 0 or self.bits >> self.n:
-            raise ValueError(f"mask {self.bits:#x} has bits above dimension {self.n}")
-
-    @classmethod
-    def from_elements(cls, elements: Iterable[int], n: int) -> "VertexSet":
-        return cls(mask_of(elements), n)
-
-    def elements(self) -> tuple[int, ...]:
-        return elements_of(self.bits)
-
-    def __xor__(self, other: "VertexSet") -> "VertexSet":
-        if not isinstance(other, VertexSet):
-            return NotImplemented
-        if self.n != other.n:
-            raise DimensionMismatch(f"n={self.n} vs n={other.n}")
-        return VertexSet(self.bits ^ other.bits, self.n)
-
-    def antipode(self) -> "VertexSet":
-        return VertexSet(self.bits ^ ((1 << self.n) - 1), self.n)
-
-    def __contains__(self, element: int) -> bool:
-        return 1 <= element <= self.n and bool((self.bits >> (element - 1)) & 1)
-
-    def __repr__(self) -> str:
-        inner = "{" + ",".join(map(str, self.elements())) + "}"
-        return f"VertexSet({inner}, n={self.n})"
-
-
-def symm_diff(x: VertexSet, y: VertexSet) -> VertexSet:
-    """Symmetric difference x (+) y, the GF(2) sum of the two vertices."""
-    return x ^ y
-
-
-def antipode(x: VertexSet) -> VertexSet:
-    """Complement of x with respect to the ground set [n]."""
-    return x.antipode()
-
-
-@dataclass(frozen=True)
-class FlipSequence:
-    """Directions of successive edges along a path or cycle in Q_n."""
-
-    entries: tuple[int, ...]
-    n: int
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "entries", tuple(self.entries))
-        for e in self.entries:
-            if not 1 <= e <= self.n:
-                raise ValueError(f"flip {e} outside [1, {self.n}]")
-
-    def __len__(self) -> int:
-        return len(self.entries)
-
-    def __iter__(self) -> Iterator[int]:
-        return iter(self.entries)
-
-    def __getitem__(self, idx):
-        return self.entries[idx]
-
-    def reversed(self) -> "FlipSequence":
-        return FlipSequence(self.entries[::-1], self.n)
-
-
-@dataclass(frozen=True)
-class CubePath:
-    """A walk in Q_n given by its start vertex and flip sequence."""
-
-    start: VertexSet
-    flips: FlipSequence
-
-    def __post_init__(self) -> None:
-        if self.start.n != self.flips.n:
-            raise DimensionMismatch(
-                f"start has n={self.start.n}, flips have n={self.flips.n}"
-            )
-
-    def vertices(self) -> list[VertexSet]:
-        return walk(self.start, self.flips)
-
-    @property
-    def end(self) -> VertexSet:
-        bits = self.start.bits
-        for f in self.flips:
-            bits ^= 1 << (f - 1)
-        return VertexSet(bits, self.start.n)
-
-
-@dataclass(frozen=True)
-class CubeCycle(CubePath):
-    """A closed walk in Q_n; every direction must be flipped an even number of times."""
-
-    def __post_init__(self) -> None:
-        super().__post_init__()
-        acc = 0
-        for f in self.flips:
-            acc ^= 1 << (f - 1)
-        if acc:
-            raise ValueError("flip sequence does not close up into a cycle")
-
-    def vertices(self) -> list[VertexSet]:
-        # Without the repeated start vertex at the end.
-        return walk(self.start, self.flips)[:-1]
-
-
-def walk(start: VertexSet, flips: FlipSequence) -> list[VertexSet]:
+def walk(start: int, flips: Sequence[int]) -> list[int]:
     """Vertex sequence v_0 = start, v_j = v_{j-1} (+) {flip_j}."""
-    if start.n != flips.n:
-        raise DimensionMismatch(f"start has n={start.n}, flips have n={flips.n}")
     out = [start]
-    bits = start.bits
+    bits = start
     for f in flips:
         bits ^= 1 << (f - 1)
-        out.append(VertexSet(bits, start.n))
+        out.append(bits)
     return out
 
 
-def is_isometric(p: CubePath) -> bool:
-    """Whether the path or cycle is distance-preserving in Q_n.
+def is_isometric_path(flips: Sequence[int]) -> bool:
+    """Whether a path with these flips is distance-preserving: no direction repeats."""
+    return len(set(flips)) == len(flips)
 
-    A path qualifies iff no direction repeats.  A cycle qualifies iff every
-    direction occurs 0 or 2 times with the two occurrences lying oppositely
-    on the cycle.
+
+def is_isometric_cycle(flips: Sequence[int]) -> bool:
+    """Whether a closed walk with these flips is distance-preserving in Q_n.
+
+    Every direction must occur 0 or 2 times, with the two occurrences lying
+    oppositely on the cycle; such a walk always closes up.
     """
-    entries = p.flips.entries
-    if isinstance(p, CubeCycle):
-        length = len(entries)
-        positions: dict[int, list[int]] = {}
-        for idx, f in enumerate(entries):
-            positions.setdefault(f, []).append(idx)
-        for idxs in positions.values():
-            if len(idxs) != 2 or idxs[1] - idxs[0] != length // 2:
-                return False
-        return True
-    return len(set(entries)) == len(entries)
+    length = len(flips)
+    positions: dict[int, list[int]] = {}
+    for idx, f in enumerate(flips):
+        positions.setdefault(f, []).append(idx)
+    return all(
+        len(idxs) == 2 and idxs[1] - idxs[0] == length // 2 for idxs in positions.values()
+    )
 
 
-def span(basis: Sequence[VertexSet], n: int | None = None) -> set[VertexSet]:
-    """All GF(2) combinations of the basis, materialized eagerly.
+def span(masks: Sequence[int]) -> list[int]:
+    """Sorted list of all GF(2) combinations of the masks, materialized eagerly.
 
-    An empty basis spans {empty set}; pass n explicitly in that case.
+    An empty family spans [0].
     """
-    if n is None:
-        if not basis:
-            raise ValueError("empty basis needs an explicit dimension n")
-        n = basis[0].n
-    for b in basis:
-        if b.n != n:
-            raise DimensionMismatch(f"basis element has n={b.n}, expected {n}")
-    if len(basis) > SPAN_GUARD:
+    if len(masks) > SPAN_GUARD:
         raise ValueError(
-            f"span of {len(basis)} generators exceeds the 2^{SPAN_GUARD} guard"
+            f"span of {len(masks)} generators exceeds the 2^{SPAN_GUARD} guard"
         )
-    return {VertexSet(m, n) for m in span_bits([b.bits for b in basis])}
-
-
-def span_bits(masks: Sequence[int]) -> list[int]:
-    """Sorted list of all XOR combinations of the given masks."""
     out = {0}
     for m in masks:
         out |= {s ^ m for s in out}
@@ -236,22 +119,18 @@ def _insert_pivot(pivots: dict[int, int], mask: int) -> bool:
     return False
 
 
-def rank_gf2(vectors: Sequence[VertexSet]) -> int:
-    """GF(2) rank of the vertices viewed as characteristic vectors."""
+def rank_gf2(vectors: Sequence[int]) -> int:
+    """GF(2) rank of the masks viewed as characteristic vectors."""
     pivots: dict[int, int] = {}
-    rank = 0
-    for v in vectors:
-        if _insert_pivot(pivots, v.bits):
-            rank += 1
-    return rank
+    return sum(_insert_pivot(pivots, v) for v in vectors)
 
 
-def in_span(vec: VertexSet, basis: Sequence[VertexSet]) -> bool:
+def in_span(vec: int, basis: Sequence[int]) -> bool:
     """GF(2) membership test via elimination, without materializing the span."""
     pivots: dict[int, int] = {}
     for b in basis:
-        _insert_pivot(pivots, b.bits)
-    cur = vec.bits
+        _insert_pivot(pivots, b)
+    cur = vec
     while cur:
         lead = cur.bit_length() - 1
         if lead not in pivots:

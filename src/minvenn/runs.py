@@ -12,22 +12,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .bases import _c_pairs, cross_edges_bits, ring_prefixes
-from .hypercube import (
-    CubePath,
-    FlipSequence,
-    VertexSet,
-    edge_direction,
-    mask_of,
-    span_bits,
-)
+from .bases import _c_pairs, cross_edges, ring_prefixes
+from .hypercube import DEFAULT_CAP, MAX_CAP, Path, edge_direction, mask_of, span
 
 INCREASING = "increasing"
 DECREASING = "decreasing"
-
-# Full 2^n walks stop here; brgc and product sequences may go a bit further.
-DEFAULT_CAP = 16
-SEQUENCE_CAP = 20
 
 # Flip sequence of an explicit Hamiltonian path in Q_4 whose 3-runs are as
 # long as possible: nu_3 = 6 and lam_3 = 8.
@@ -97,18 +86,19 @@ def _maximal_runs(entries: tuple[int, ...], rho: int) -> list[tuple[int, int, st
     return out
 
 
-def run_partition(seq: FlipSequence, rho: int, tie_break: str = "earlier") -> RunPartition:
+def run_partition(entries: tuple[int, ...], rho: int, tie_break: str = "earlier") -> RunPartition:
     """Fixed rho-run partition of the sequence.
 
     Two consecutive maximal runs can overlap in one element; tie_break
     decides whether the "earlier" or the "later" run keeps it.  Runs that end
     up with a single element count as increasing.
     """
-    if not 1 <= rho <= seq.n:
-        raise ValueError(f"rho must be in [1, {seq.n}], got {rho}")
+    if rho < 1:
+        raise ValueError(f"rho must be >= 1, got {rho}")
+    if any(e < 1 for e in entries):
+        raise ValueError("flip directions must be >= 1")
     if tie_break not in ("earlier", "later"):
         raise ValueError(f"tie_break must be 'earlier' or 'later', got {tie_break!r}")
-    entries = seq.entries
     maximal = _maximal_runs(entries, rho)
     resolved: list[tuple[int, int, str]] = []
     for t, (s, e, orient) in enumerate(maximal):
@@ -131,15 +121,14 @@ def run_partition(seq: FlipSequence, rho: int, tie_break: str = "earlier") -> Ru
     return RunPartition(rho=rho, runs=runs, run_index=tuple(index), nu=nu, lam=lam)
 
 
-def mu(seq: FlipSequence) -> int:
+def mu(entries: tuple[int, ...]) -> int:
     """Number of consecutive entry pairs differing by exactly one."""
-    entries = seq.entries
     if not entries:
         raise ValueError("mu needs a nonempty sequence")
     return sum(1 for t in range(len(entries) - 1) if abs(entries[t + 1] - entries[t]) == 1)
 
 
-def brgc(n: int) -> FlipSequence:
+def brgc(n: int) -> tuple[int, ...]:
     """Flip sequence of the binary reflected Gray code on n bits.
 
     Entry j is one plus the 2-adic valuation of j, so for n >= 4 the sequence
@@ -147,21 +136,21 @@ def brgc(n: int) -> FlipSequence:
     """
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
-    return FlipSequence(tuple((j & -j).bit_length() for j in range(1, 1 << n)), n)
+    return tuple((j & -j).bit_length() for j in range(1, 1 << n))
 
 
-def is_hamiltonian_path(seq: FlipSequence, n: int, cap: int = SEQUENCE_CAP) -> bool:
+def is_hamiltonian_path(seq: tuple[int, ...], n: int, cap: int = MAX_CAP) -> bool:
     """Whether walking seq from the empty set visits all 2^n vertices once."""
     if n > cap:
         raise ValueError(f"Q_{n} walk exceeds cap {cap}")
-    if len(seq.entries) != (1 << n) - 1:
+    if len(seq) != (1 << n) - 1:
         return False
-    if any(f > n for f in seq.entries):
+    if any(not 1 <= f <= n for f in seq):
         return False
     visited = bytearray(1 << n)
     v = 0
     visited[0] = 1
-    for f in seq.entries:
+    for f in seq:
         v ^= 1 << (f - 1)
         if visited[v]:
             return False
@@ -191,7 +180,7 @@ def _toggle(adj: dict[int, list[int]], u: int, v: int) -> None:
         lv.append(u)
 
 
-def longrun_path(k: int, cap: int = DEFAULT_CAP) -> CubePath:
+def longrun_path(k: int, cap: int = DEFAULT_CAP) -> Path:
     """Hamiltonian path of Q_n, n = 2^k, maximizing (n-1)-run coverage.
 
     For k = 2 this is an explicit path.  For k >= 3 the 2n-cycles through the
@@ -203,7 +192,7 @@ def longrun_path(k: int, cap: int = DEFAULT_CAP) -> CubePath:
         raise ValueError(f"need k >= 2, got {k}")
     n = 1 << k
     if k == 2:
-        return CubePath(VertexSet(0, 4), FlipSequence(_Q4_LONGRUN, 4))
+        return Path(0, _Q4_LONGRUN)
     if n > cap:
         raise ValueError(f"Q_{n} exceeds the materialization cap {cap}")
     d = n - k - 1
@@ -213,15 +202,15 @@ def longrun_path(k: int, cap: int = DEFAULT_CAP) -> CubePath:
     adj: dict[int, list[int]] = {}
     prefixes = ring_prefixes(n)
     two_n = 2 * n
-    for base in span_bits(cmasks):
+    for base in span(cmasks):
         ring = [base ^ m for m in prefixes]
         for t in range(two_n):
             _toggle(adj, ring[t], ring[(t + 1) % two_n])
 
     x = 0
-    for s in brgc(d).entries:
+    for s in brgc(d):
         a, b = pairs[s - 1]
-        for u, v in cross_edges_bits(x, a, b, "F", n):
+        for u, v in cross_edges(x, a, b, "F", n):
             _toggle(adj, u, v)
         x ^= cmasks[s - 1]
 
@@ -243,10 +232,10 @@ def longrun_path(k: int, cap: int = DEFAULT_CAP) -> CubePath:
     cut = flips.index(n)
     path_flips = tuple(flips[cut + 1 :] + flips[:cut])
     start = verts[(cut + 1) % total]
-    return CubePath(VertexSet(start, n), FlipSequence(path_flips, n))
+    return Path(start, path_flips)
 
 
-def product_path(k: int, m: int, cap: int = DEFAULT_CAP) -> CubePath:
+def product_path(k: int, m: int, cap: int = DEFAULT_CAP) -> Path:
     """Hamiltonian path of Q_{n+m}, n = 2^k, scaling the long-run path 2^m times.
 
     The flip sequence alternates forward and reversed copies of the base
@@ -259,15 +248,14 @@ def product_path(k: int, m: int, cap: int = DEFAULT_CAP) -> CubePath:
     if m == 0:
         return base
     n = 1 << k
-    if n + m > SEQUENCE_CAP:
-        raise ValueError(f"sequence for Q_{n + m} exceeds cap {SEQUENCE_CAP}")
-    fwd = base.flips.entries
-    rev = base.flips.reversed().entries
+    if n + m > MAX_CAP:
+        raise ValueError(f"sequence for Q_{n + m} exceeds cap {MAX_CAP}")
+    fwd = base.flips
+    rev = fwd[::-1]
     out: list[int] = []
-    connectors = brgc(m).entries
+    connectors = brgc(m)
     for t, s in enumerate(connectors):
         out.extend(fwd if t % 2 == 0 else rev)
         out.append(s + n)
     out.extend(fwd if len(connectors) % 2 == 0 else rev)
-    start = VertexSet(base.start.bits, n + m)
-    return CubePath(start, FlipSequence(tuple(out), n + m))
+    return Path(base.start, tuple(out))

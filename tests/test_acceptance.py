@@ -19,7 +19,7 @@ from minvenn.bases import (
 )
 from minvenn.builder import check_face_catalog
 from minvenn.cli import main
-from minvenn.hypercube import FlipSequence, VertexSet, span
+from minvenn.hypercube import span, walk
 from minvenn.plane_graph import crossing_count
 from minvenn.runs import longrun_path, mu, product_path, run_partition
 from minvenn.verify import expected_crossings, lower_bound, verify_graph
@@ -112,18 +112,17 @@ def test_criterion_06_partitions_exhaustive(capsys):
     ok = True
     for k in range(1, 5):
         n = 1 << k
-        members = sorted(span(basis_C(k).elements, n=n), key=lambda v: v.bits)
         seen_paths: set[int] = set()
-        for x in members:
-            for v in ramras_path(VertexSet(x.bits, n), n).vertices():
-                ok = ok and v.bits not in seen_paths
-                seen_paths.add(v.bits)
+        for x in span(basis_C(k).elements):
+            for v in walk(*ramras_path(x, n)):
+                ok = ok and v not in seen_paths
+                seen_paths.add(v)
         ok = ok and seen_paths == set(range(1 << (n - 1)))
         seen_cycles: set[int] = set()
         for c in partition_cycles(k):
-            for v in c.vertices():
-                ok = ok and v.bits not in seen_cycles
-                seen_cycles.add(v.bits)
+            for v in c:
+                ok = ok and v not in seen_cycles
+                seen_cycles.add(v)
         ok = ok and len(seen_cycles) == 1 << n
     elapsed = time.perf_counter() - t0
     ok = ok and elapsed < 10.0
@@ -158,9 +157,8 @@ def test_criterion_09_property_suites(capsys, dual8, dual16, doubling_chain):
         length = rng.randrange(0, 40)
         entries = tuple(rng.randint(1, 8) for _ in range(length))
         rho = rng.randint(1, 8)
-        seq = FlipSequence(entries, 8)
-        early = run_partition(seq, rho)
-        late = run_partition(seq, rho, tie_break="later")
+        early = run_partition(entries, rho)
+        late = run_partition(entries, rho, tie_break="later")
         over = sum(1 for e in entries if e > rho)
         ok = ok and over == length - early.nu - early.lam
         ok = ok and (early.nu, early.lam) == (late.nu, late.lam)

@@ -6,19 +6,22 @@ from minvenn.bases import (
     basis_C,
     basis_O,
     check_pairwise_distinct_endpoints,
-    cross_edge_set,
-    cross_edges_bits,
+    cross_edges,
     partition_cycles,
-    ramras_cycle,
     ramras_path,
     ring_prefixes,
     spans_equal,
 )
-from minvenn.hypercube import VertexSet, antipode, is_isometric, mask_of, span
+from minvenn.hypercube import edge_direction, elements_of, is_isometric_cycle, mask_of, span, walk
 
 
 def pairs(basis):
-    return [e.elements() for e in basis.elements]
+    return [elements_of(e) for e in basis.elements]
+
+
+def ring_flips(ring):
+    length = len(ring)
+    return tuple(edge_direction(ring[t], ring[(t + 1) % length]) for t in range(length))
 
 
 def test_basis_B_small_levels():
@@ -63,7 +66,7 @@ def test_endpoints_distinct(k):
 
 
 def test_endpoints_shared_minimum_rejected():
-    bad = Basis(2, (VertexSet.from_elements([1, 3], 4), VertexSet.from_elements([1, 4], 4)))
+    bad = Basis(2, (mask_of([1, 3]), mask_of([1, 4])))
     assert not check_pairwise_distinct_endpoints(bad)
 
 
@@ -82,37 +85,36 @@ def test_rank_of_both_bases(k):
 
 
 def test_spans_equal_negative():
-    b1 = Basis(2, (VertexSet.from_elements([1, 3], 4),))
-    b2 = Basis(2, (VertexSet.from_elements([1, 4], 4),))
+    b1 = Basis(2, (mask_of([1, 3]),))
+    b2 = Basis(2, (mask_of([1, 4]),))
     assert not spans_equal(b1, b2)
 
 
 def test_ramras_path_examples():
-    p = ramras_path(VertexSet(0, 4), 4)
-    assert [v.elements() for v in p.vertices()] == [(), (1,), (1, 2), (1, 2, 3)]
-    q = ramras_path(VertexSet.from_elements([1, 3], 4), 4)
-    assert [v.elements() for v in q.vertices()] == [(1, 3), (3,), (2, 3), (2,)]
+    p = ramras_path(0, 4)
+    assert [elements_of(v) for v in walk(*p)] == [(), (1,), (1, 2), (1, 2, 3)]
+    q = ramras_path(mask_of([1, 3]), 4)
+    assert [elements_of(v) for v in walk(*q)] == [(1, 3), (3,), (2, 3), (2,)]
 
 
 @pytest.mark.parametrize("k", [1, 2, 3])
 def test_ramras_path_ends_at_antipode(k):
     n = 1 << k
-    for x in span(basis_C(k).elements, n=n):
+    for x in span(basis_C(k).elements):
         p = ramras_path(x, n)
-        assert p.end == antipode(p.start)
+        assert walk(*p)[-1] == p.start ^ ((1 << (n - 1)) - 1)
 
 
 def test_ramras_cycle_shape():
-    c = ramras_cycle(VertexSet(0, 4), 4)
-    assert c.flips.entries == (1, 2, 3, 4, 1, 2, 3, 4)
-    verts = c.vertices()
-    assert len(verts) == 8
-    assert VertexSet(0, 4) in verts and VertexSet.from_elements([1, 2, 3, 4], 4) in verts
+    c = partition_cycles(2)[0]
+    assert ring_flips(c) == (1, 2, 3, 4, 1, 2, 3, 4)
+    assert len(c) == 8
+    assert 0 in c and mask_of([1, 2, 3, 4]) in c
 
 
 def test_ramras_cycles_isometric():
-    for x in span(basis_C(3).elements, n=8):
-        assert is_isometric(ramras_cycle(x, 8))
+    for ring in partition_cycles(3):
+        assert is_isometric_cycle(ring_flips(ring))
 
 
 @pytest.mark.parametrize("k,cycles,total", [(1, 1, 4), (2, 2, 16), (3, 16, 256)])
@@ -121,9 +123,9 @@ def test_partition_cycles_counts(k, cycles, total):
     assert len(part) == cycles
     seen = set()
     for c in part:
-        for v in c.vertices():
-            assert v.bits not in seen
-            seen.add(v.bits)
+        for v in c:
+            assert v not in seen
+            seen.add(v)
     assert len(seen) == total
 
 
@@ -131,10 +133,10 @@ def test_partition_cycles_counts(k, cycles, total):
 def test_path_partition_covers_lower_cube(k):
     n = 1 << k
     seen = set()
-    for x in sorted(span(basis_C(k).elements, n=n), key=lambda v: v.bits):
-        for v in ramras_path(VertexSet(x.bits, n), n).vertices():
-            assert v.bits not in seen
-            seen.add(v.bits)
+    for x in span(basis_C(k).elements):
+        for v in walk(*ramras_path(x, n)):
+            assert v not in seen
+            seen.add(v)
     assert seen == set(range(1 << (n - 1)))
 
 
@@ -154,45 +156,42 @@ def test_ring_prefixes_walk():
 
 
 def test_cross_edge_set_F():
-    x = VertexSet(0, 4)
-    pair = VertexSet.from_elements([1, 3], 4)
-    f = cross_edge_set(x, pair, "F")
-    verts = {v.bits for e in f.edges for v in e}
+    f = cross_edges(0, 1, 3, "F", 4)
+    verts = {v for e in f for v in e}
     assert verts == {mask_of(s) for s in ([], [1], [3], [1, 3])}
-    dirs = sorted((u.bits ^ v.bits).bit_length() for u, v in f.edges)
+    dirs = sorted(edge_direction(u, v) for u, v in f)
     assert dirs == [1, 1, 3, 3]
 
 
 def test_cross_edge_set_E_down_directions():
-    x = VertexSet(0, 4)
-    pair = VertexSet.from_elements([1, 3], 4)
-    e = cross_edge_set(x, pair, "E_down")
-    dirs = [(u.bits ^ v.bits).bit_length() for u, v in e.edges]
+    e = cross_edges(0, 1, 3, "E_down", 4)
+    dirs = [edge_direction(u, v) for u, v in e]
     assert dirs == [3, 1, 2]
 
 
 def test_cross_edge_set_kind_constraints():
-    x = VertexSet(0, 8)
-    wide = VertexSet.from_elements([2, 6], 8)
     with pytest.raises(ValueError):
-        cross_edge_set(x, wide, "E_down")
+        cross_edges(0, 2, 6, "E_down", 8)
     with pytest.raises(ValueError):
-        cross_edge_set(x, VertexSet.from_elements([1, 2, 3], 8), "E")
+        cross_edges(0, 3, 1, "E", 8)
     with pytest.raises(ValueError):
-        cross_edge_set(x, wide, "bogus")
+        cross_edges(0, 2, 9, "E", 8)
+    with pytest.raises(ValueError):
+        cross_edges(0, 2, 6, "bogus", 8)
 
 
 @pytest.mark.parametrize("kind,count", [("E", 4), ("E_down", 3), ("E_up", 3)])
 def test_cross_edges_join_the_two_cycles(kind, count):
     n = 8
-    for x in span(basis_C(3).elements, n=n):
+    prefixes = ring_prefixes(n)
+    for x in span(basis_C(3).elements):
         for pair in basis_C(3).elements:
-            a, b = pair.elements()
+            a, b = elements_of(pair)
             if kind in ("E_down", "E_up") and b != a + 2:
                 continue
-            on_x = {v.bits for v in ramras_cycle(x, n).vertices()}
-            on_y = {v.bits for v in ramras_cycle(x ^ VertexSet(pair.bits, n), n).vertices()}
-            edges = cross_edges_bits(x.bits, a, b, kind, n)
+            on_x = {x ^ m for m in prefixes}
+            on_y = {x ^ pair ^ m for m in prefixes}
+            edges = cross_edges(x, a, b, kind, n)
             assert len(edges) == count
             for u, v in edges:
                 assert (u ^ v).bit_count() == 1
@@ -210,13 +209,12 @@ def _cycle_edges(base, n):
 def test_quad_merges_two_cycles_into_one(k):
     # symmetric difference with the F quad must leave a single 4n-cycle
     n = 1 << k
-    members = sorted(v.bits for v in span(basis_C(k).elements, n=n))
-    for x in members:
+    for x in span(basis_C(k).elements):
         for pair in basis_C(k).elements:
-            a, b = pair.elements()
-            y = x ^ pair.bits
+            a, b = elements_of(pair)
+            y = x ^ pair
             edges = _cycle_edges(x, n) ^ _cycle_edges(y, n)
-            for u, v in cross_edges_bits(x, a, b, "F", n):
+            for u, v in cross_edges(x, a, b, "F", n):
                 key = tuple(sorted((u, v)))
                 edges ^= {key}
             adj = {}
@@ -238,13 +236,12 @@ def test_consecutive_quads_edge_disjoint():
     from minvenn.runs import brgc
 
     n = 8
-    coeffs = [p.elements() for p in basis_C(3).elements]
-    masks = [p.bits for p in basis_C(3).elements]
+    masks = basis_C(3).elements
     x = 0
     quads = []
-    for s in brgc(4).entries:
-        a, b = coeffs[s - 1]
-        quads.append({tuple(sorted(e)) for e in cross_edges_bits(x, a, b, "F", n)})
+    for s in brgc(4):
+        a, b = elements_of(masks[s - 1])
+        quads.append({tuple(sorted(e)) for e in cross_edges(x, a, b, "F", n)})
         x ^= masks[s - 1]
     for q1, q2 in zip(quads, quads[1:]):
         assert not (q1 & q2)

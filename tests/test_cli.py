@@ -1,5 +1,13 @@
+import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import pytest
+
+import minvenn
 from minvenn.cli import main
 
 
@@ -144,3 +152,41 @@ def test_verify_failing_document(tmp_path, capsys):
     code, _out, err = run(capsys, ["verify", str(target)])
     assert code == 1
     assert "verdict: FAIL" in err
+
+
+def test_verify_malformed_document_exits_2(tmp_path, malformed_doc):
+    target = tmp_path / "bad.json"
+    target.write_text(json.dumps(malformed_doc))
+    src = str(Path(minvenn.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-m", "minvenn.cli", "verify", str(target)],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": src},
+        timeout=60,
+    )
+    assert proc.returncode == 2
+    assert "minvenn: error:" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+# SHA-256 of stdout for fixed invocations.  Output is byte-identical for a
+# given input and format version, so a digest changes only with the format.
+PINNED_OUTPUTS = [
+    (["build", "--n", "8"], "dd1b0497081b60e69d11488c9a329f2bbcdfe71e4e3930a6c523ec27b4d772bc"),
+    (["partition", "--k", "3"], "376957c65120631dd511d65df4a7ec708a4f301b696ad3f9a5a7d552bcf8f4da"),
+    (
+        ["gray", "--k", "3", "--m", "2", "--stats"],
+        "036731990b6ab629badc95bf6c86493ada69aab2a2382723955fa4cb120c6cda",
+    ),
+    (["stats", "--n-max", "20"], "7dc4d5f14a220d38104f4ad7f962afb7d3f842548f79d4a033411e5750c71137"),
+]
+
+
+@pytest.mark.parametrize(
+    "argv,digest", PINNED_OUTPUTS, ids=["build-8", "partition-3", "gray-3-2", "stats-20"]
+)
+def test_output_is_byte_identical(capsys, argv, digest):
+    code, out, _err = run(capsys, argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest

@@ -11,7 +11,7 @@ def test_colorful_face_of_base_build(dual8):
     cf = find_colorful_face(g)
     assert cf is not None
     assert cf.index == g.outer_face_index()
-    assert cf.vertex == 0 and cf.antipode == 255
+    assert cf.vertex == 0 and cf.complement == 255
     assert len(cf.face) == 16
 
 
@@ -40,16 +40,16 @@ def test_double_keeps_a_colorful_face(dual8):
     cf = find_colorful_face(d)
     assert cf is not None
     full9 = (1 << 9) - 1
-    assert cf.vertex ^ cf.antipode == full9
+    assert cf.vertex ^ cf.complement == full9
     members = set(cf.face.vertices)
-    assert cf.vertex in members and cf.antipode in members
+    assert cf.vertex in members and cf.complement in members
 
 
 def test_colorful_face_halves_are_permutations(dual8):
     g, _ = dual8
     cf = find_colorful_face(g)
     verts = cf.face.vertices
-    i, j = verts.index(cf.vertex), verts.index(cf.antipode)
+    i, j = verts.index(cf.vertex), verts.index(cf.complement)
     flips = cf.face.flips
     length = len(flips)
     half1 = [flips[(i + t) % length] for t in range((j - i) % length)]

@@ -6,6 +6,7 @@ import pytest
 from minvenn.bases import ring_prefixes
 from minvenn.builder import partition_preview_graph
 from minvenn.export import (
+    DocumentError,
     RenderError,
     dump_json,
     from_json,
@@ -69,6 +70,11 @@ def test_from_json_rejects_tampered_faces(dual8):
     doc["faces"] = doc["faces"][::-1]
     with pytest.raises(ValueError):
         from_json(doc)
+
+
+def test_from_json_rejects_malformed_document(malformed_doc):
+    with pytest.raises(DocumentError):
+        from_json(malformed_doc)
 
 
 def test_to_dot_single_ring():

@@ -2,78 +2,34 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from minvenn.bases import basis_B, basis_C
+from minvenn.bases import basis_B, basis_C, partition_cycles, ring_prefixes
 from minvenn.hypercube import (
-    CubeCycle,
-    CubePath,
-    DimensionMismatch,
-    FlipSequence,
-    VertexSet,
-    antipode,
+    edge_direction,
     in_span,
-    is_isometric,
+    is_isometric_cycle,
+    is_isometric_path,
+    mask_of,
     rank_gf2,
     span,
-    symm_diff,
     walk,
 )
 
 
-def vs(elements, n):
-    return VertexSet.from_elements(elements, n)
-
-
-masks8 = st.integers(min_value=0, max_value=255)
-
-
-def test_symm_diff_basic():
-    assert symm_diff(vs([1, 3], 8), vs([3, 5], 8)) == vs([1, 5], 8)
-    x = vs([2, 4, 7], 8)
-    assert symm_diff(x, x) == vs([], 8)
-    assert symm_diff(vs([1, 2], 4), vs([], 4)) == vs([1, 2], 4)
-
-
-def test_symm_diff_dimension_mismatch():
-    with pytest.raises(DimensionMismatch):
-        symm_diff(vs([1], 4), vs([1], 5))
-
-
-def test_vertex_set_validation():
-    with pytest.raises(ValueError):
-        VertexSet(1 << 4, 4)
-    with pytest.raises(ValueError):
-        VertexSet(0, 0)
-    with pytest.raises(ValueError):
-        VertexSet(0, 33)
-
-
 def test_antipode():
-    assert antipode(vs([], 4)) == vs([1, 2, 3, 4], 4)
-    assert antipode(vs([1, 3], 4)) == vs([2, 4], 4)
-
-
-@given(bits=masks8)
-def test_antipode_involution(bits):
-    x = VertexSet(bits, 8)
-    assert antipode(antipode(x)) == x
-
-
-@given(a=masks8, b=masks8, c=masks8)
-def test_xor_algebra(a, b, c):
-    x, y, z = VertexSet(a, 8), VertexSet(b, 8), VertexSet(c, 8)
-    assert (x ^ y) ^ z == x ^ (y ^ z)
-    assert x ^ y == y ^ x
-    assert (x ^ y) ^ y == x
+    # the partition cycle reaches the complement of each vertex halfway round
+    for n in (1, 2, 4, 8):
+        full = (1 << n) - 1
+        pref = ring_prefixes(n)
+        for p in range(n):
+            assert pref[p + n] == pref[p] ^ full
 
 
 def test_span_empty_basis():
-    assert span([], n=4) == {vs([], 4)}
-    with pytest.raises(ValueError):
-        span([])
+    assert span([]) == [0]
 
 
 def test_span_single():
-    assert span([vs([1, 3], 4)]) == {vs([], 4), vs([1, 3], 4)}
+    assert span([mask_of([1, 3])]) == [0, mask_of([1, 3])]
 
 
 def test_span_size_of_level_basis():
@@ -82,68 +38,62 @@ def test_span_size_of_level_basis():
 
 
 def test_span_guard():
-    basis = [VertexSet(1 << i, 32) for i in range(29)]
     with pytest.raises(ValueError):
-        span(basis)
+        span([1 << i for i in range(29)])
 
 
 @given(st.lists(st.integers(min_value=0, max_value=63), max_size=5))
 def test_span_closed_under_xor(masks):
-    basis = [VertexSet(m, 6) for m in masks]
-    members = span(basis, n=6)
-    assert VertexSet(0, 6) in members
-    as_bits = {m.bits for m in members}
+    members = span(masks)
+    assert members == sorted(set(members))
+    assert 0 in members
+    as_bits = set(members)
     for a in as_bits:
         for b in as_bits:
             assert (a ^ b) in as_bits
 
 
 def test_walk_examples():
-    seq = FlipSequence((1, 2, 3), 3)
-    assert walk(vs([], 3), seq) == [vs([], 3), vs([1], 3), vs([1, 2], 3), vs([1, 2, 3], 3)]
-    assert walk(vs([1, 3], 3), FlipSequence((1,), 3)) == [vs([1, 3], 3), vs([3], 3)]
+    assert walk(0, (1, 2, 3)) == [0, mask_of([1]), mask_of([1, 2]), mask_of([1, 2, 3])]
+    assert walk(mask_of([1, 3]), (1,)) == [mask_of([1, 3]), mask_of([3])]
 
 
 @pytest.mark.parametrize("k", [1, 2, 3])
 def test_walk_around_partition_cycles_closes(k):
     n = 1 << k
-    flips = FlipSequence(tuple(range(1, n + 1)) * 2, n)
-    for x in span(basis_C(k).elements, n=n):
+    flips = tuple(range(1, n + 1)) * 2
+    for x in span(basis_C(k).elements):
         path = walk(x, flips)
         assert path[0] == path[-1] == x
-        assert path[n] == antipode(x)
+        assert path[n] == x ^ ((1 << n) - 1)
 
 
 def test_is_isometric_paths():
-    ok = CubePath(vs([], 4), FlipSequence((1, 2, 3), 4))
-    bad = CubePath(vs([], 4), FlipSequence((1, 2, 1), 4))
-    assert is_isometric(ok)
-    assert not is_isometric(bad)
+    assert is_isometric_path((1, 2, 3))
+    assert not is_isometric_path((1, 2, 1))
 
 
 @pytest.mark.parametrize("k", [1, 2, 3])
 def test_is_isometric_cycles(k):
-    n = 1 << k
-    for x in span(basis_C(k).elements, n=n):
-        cycle = CubeCycle(x, FlipSequence(tuple(range(1, n + 1)) * 2, n))
-        assert is_isometric(cycle)
+    for ring in partition_cycles(k):
+        length = len(ring)
+        flips = [edge_direction(ring[t], ring[(t + 1) % length]) for t in range(length)]
+        assert is_isometric_cycle(flips)
 
 
 def test_is_isometric_cycle_pairing():
-    four = CubeCycle(vs([], 4), FlipSequence((1, 2, 1, 2), 4))
-    assert is_isometric(four)  # the two edges of each direction lie oppositely
-    bad = CubeCycle(vs([], 4), FlipSequence((1, 2, 1, 2, 3, 3), 4))
-    assert not is_isometric(bad)
+    assert is_isometric_cycle((1, 2, 1, 2))  # the two edges of each direction lie oppositely
+    assert not is_isometric_cycle((1, 2, 1, 2, 3, 3))
 
 
 def test_cycle_closure_validation():
-    with pytest.raises(ValueError):
-        CubeCycle(vs([], 4), FlipSequence((1, 2, 3), 4))
+    # a flip sequence that does not close up is no isometric cycle
+    assert not is_isometric_cycle((1, 2, 3))
 
 
 def test_rank_examples():
     assert rank_gf2(basis_B(3).elements) == 4
-    x = vs([2, 5], 8)
+    x = mask_of([2, 5])
     assert rank_gf2([x, x]) == 1
     assert rank_gf2(basis_C(4).elements) == 11
 
@@ -155,7 +105,7 @@ def test_rank_matches_span_enumeration():
 
 
 def test_in_span():
-    basis = [vs([1, 3], 4), vs([3, 4], 4)]
-    assert in_span(vs([1, 4], 4), basis)
-    assert not in_span(vs([1, 2], 4), basis)
-    assert in_span(vs([], 4), [])
+    basis = [mask_of([1, 3]), mask_of([3, 4])]
+    assert in_span(mask_of([1, 4]), basis)
+    assert not in_span(mask_of([1, 2]), basis)
+    assert in_span(0, [])

@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from minvenn.hypercube import FlipSequence, edge_direction, mask_of
+from minvenn.hypercube import edge_direction, mask_of
 from minvenn.runs import (
     DECREASING,
     INCREASING,
@@ -15,12 +15,8 @@ from minvenn.runs import (
 )
 
 
-def fs(entries, n):
-    return FlipSequence(tuple(entries), n)
-
-
 def test_run_partition_worked_example():
-    parts = run_partition(fs((1, 2, 3, 2, 1, 2, 3, 4, 3, 2, 1, 2, 3, 2, 1), 4), 3)
+    parts = run_partition((1, 2, 3, 2, 1, 2, 3, 4, 3, 2, 1, 2, 3, 2, 1), 3)
     assert (parts.nu, parts.lam) == (6, 8)
     assert [r.orientation for r in parts.runs] == [
         INCREASING, DECREASING, INCREASING, DECREASING, INCREASING, DECREASING,
@@ -28,34 +24,34 @@ def test_run_partition_worked_example():
 
 
 def test_run_partition_overlap_heavy_sequence_follows_identity():
-    seq = fs((3, 1, 2, 3, 2, 1, 2, 4, 3, 2, 4), 4)
+    seq = (3, 1, 2, 3, 2, 1, 2, 4, 3, 2, 4)
     parts = run_partition(seq, 3)
     assert (parts.nu, parts.lam) == (5, 4)
-    over = sum(1 for e in seq.entries if e > 3)
+    over = sum(1 for e in seq if e > 3)
     assert over == len(seq) - parts.nu - parts.lam
 
 
 def test_run_partition_empty():
-    parts = run_partition(fs((), 4), 3)
+    parts = run_partition((), 3)
     assert (parts.nu, parts.lam) == (0, 0)
     assert parts.runs == ()
 
 
 def test_run_partition_singletons_count_as_increasing():
-    parts = run_partition(fs((1, 3, 1), 4), 3)
+    parts = run_partition((1, 3, 1), 3)
     assert parts.nu == 3 and parts.lam == 0
     assert all(r.orientation == INCREASING for r in parts.runs)
     # entries above rho belong to no run
-    parts = run_partition(fs((2, 4, 2), 4), 3)
+    parts = run_partition((2, 4, 2), 3)
     assert parts.nu == 2 and parts.lam == 0
     # a one-element remnant of a decreasing overlap is increasing by convention
-    parts = run_partition(fs((3, 2, 3), 4), 3)
+    parts = run_partition((3, 2, 3), 3)
     assert [r.element_count for r in parts.runs] == [2, 1]
     assert parts.runs[1].orientation == INCREASING
 
 
 def test_run_partition_tie_break_modes():
-    seq = fs((1, 2, 3, 2, 1), 4)
+    seq = (1, 2, 3, 2, 1)
     early = run_partition(seq, 3)
     late = run_partition(seq, 3, tie_break="later")
     assert [(r.start_index, r.element_count) for r in early.runs] == [(0, 3), (3, 2)]
@@ -64,16 +60,18 @@ def test_run_partition_tie_break_modes():
 
 
 def test_run_partition_run_index_alignment():
-    seq = fs((1, 2, 4, 4, 3, 2), 4)
+    seq = (1, 2, 4, 4, 3, 2)
     parts = run_partition(seq, 3)
     assert parts.run_index == (0, 0, None, None, 1, 1)
 
 
 def test_run_partition_validation():
     with pytest.raises(ValueError):
-        run_partition(fs((1,), 4), 0)
+        run_partition((1,), 0)
     with pytest.raises(ValueError):
-        run_partition(fs((1,), 4), 3, tie_break="sideways")
+        run_partition((1,), 3, tie_break="sideways")
+    with pytest.raises(ValueError):
+        run_partition((1, 0, 1), 3)
 
 
 seqs = st.lists(st.integers(min_value=1, max_value=6), max_size=60)
@@ -81,7 +79,7 @@ seqs = st.lists(st.integers(min_value=1, max_value=6), max_size=60)
 
 @given(entries=seqs, rho=st.integers(min_value=1, max_value=6))
 def test_run_partition_identity_and_invariance(entries, rho):
-    seq = fs(entries, 6)
+    seq = tuple(entries)
     early = run_partition(seq, rho)
     late = run_partition(seq, rho, tie_break="later")
     over = sum(1 for e in entries if e > rho)
@@ -91,7 +89,7 @@ def test_run_partition_identity_and_invariance(entries, rho):
 
 @given(entries=seqs, rho=st.integers(min_value=1, max_value=6))
 def test_run_partition_runs_disjoint_and_cover(entries, rho):
-    seq = fs(entries, 6)
+    seq = tuple(entries)
     parts = run_partition(seq, rho)
     covered = []
     for r in parts.runs:
@@ -104,10 +102,10 @@ def test_run_partition_runs_disjoint_and_cover(entries, rho):
 
 
 def test_mu_examples():
-    assert mu(fs((1, 2, 1), 3)) == 2
+    assert mu((1, 2, 1)) == 2
     assert mu(longrun_path(2).flips) == 14
     with pytest.raises(ValueError):
-        mu(fs((), 3))
+        mu(())
 
 
 def _reflected_code(n):
@@ -120,12 +118,12 @@ def _reflected_code(n):
 
 @pytest.mark.parametrize("n", range(1, 9))
 def test_brgc_matches_reflection_oracle(n):
-    assert list(brgc(n).entries) == _reflected_code(n)
+    assert list(brgc(n)) == _reflected_code(n)
 
 
 def test_brgc_small():
-    assert brgc(2).entries == (1, 2, 1)
-    assert brgc(4).entries == (1, 2, 1, 3, 1, 2, 1, 4, 1, 2, 1, 3, 1, 2, 1)
+    assert brgc(2) == (1, 2, 1)
+    assert brgc(4) == (1, 2, 1, 3, 1, 2, 1, 4, 1, 2, 1, 3, 1, 2, 1)
     with pytest.raises(ValueError):
         brgc(0)
 
@@ -137,7 +135,7 @@ def test_brgc_is_hamiltonian(n):
 
 @pytest.mark.parametrize("d", range(4, 12))
 def test_brgc_alternates_low_blocks_with_high_flips(d):
-    entries = brgc(d).entries
+    entries = brgc(d)
     block = (1, 2, 1, 3, 1, 2, 1)
     for i, e in enumerate(entries, start=1):
         if i % 8 == 0:
@@ -147,14 +145,14 @@ def test_brgc_alternates_low_blocks_with_high_flips(d):
 
 
 def test_is_hamiltonian_path_negatives():
-    assert not is_hamiltonian_path(fs((1, 1, 1), 2), 2)
-    assert not is_hamiltonian_path(fs((1, 2), 2), 2)
-    assert not is_hamiltonian_path(fs((1, 2, 3), 3), 2)
+    assert not is_hamiltonian_path((1, 1, 1), 2)
+    assert not is_hamiltonian_path((1, 2), 2)
+    assert not is_hamiltonian_path((1, 2, 3), 2)
 
 
 def test_longrun_k2():
     p = longrun_path(2)
-    assert p.flips.entries == (1, 2, 3, 2, 1, 2, 3, 4, 3, 2, 1, 2, 3, 2, 1)
+    assert p.flips == (1, 2, 3, 2, 1, 2, 3, 4, 3, 2, 1, 2, 3, 2, 1)
     assert is_hamiltonian_path(p.flips, 4)
     parts = run_partition(p.flips, 3)
     assert (parts.nu, parts.lam) == (6, 8)
@@ -169,7 +167,7 @@ def test_longrun_k3():
 
 def test_longrun_glued_block():
     # one block of eight merged rings: 30 runs of total length 16n - 46
-    from minvenn.bases import cross_edges_bits, ring_prefixes
+    from minvenn.bases import cross_edges, ring_prefixes
     from minvenn.runs import _longrun_coefficient_order, _toggle
 
     n = 8
@@ -186,7 +184,7 @@ def test_longrun_glued_block():
         for t in range(2 * n):
             _toggle(adj, ring[t], ring[(t + 1) % (2 * n)])
     for i, s in enumerate(block):
-        for u, v in cross_edges_bits(xs[i], *pairs[s - 1], "F", n):
+        for u, v in cross_edges(xs[i], *pairs[s - 1], "F", n):
             _toggle(adj, u, v)
     verts = [0]
     prev, cur = 0, min(adj[0], key=lambda v: v.bit_length())
@@ -197,7 +195,7 @@ def test_longrun_glued_block():
     assert len(verts) == 8 * 2 * n
     flips = [edge_direction(verts[t], verts[(t + 1) % len(verts)]) for t in range(len(verts))]
     cut = flips.index(n)
-    parts = run_partition(fs(flips[cut + 1 :] + flips[:cut], n), n - 1)
+    parts = run_partition(tuple(flips[cut + 1 :] + flips[:cut]), n - 1)
     assert (parts.nu, parts.lam) == (30, 16 * n - 46)
 
 
