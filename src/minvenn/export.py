@@ -1,10 +1,14 @@
 """Serialization (JSON, DOT) and schematic SVG rendering.
 
 JSON is the canonical interchange format and round-trips losslessly; DOT and
-the two SVG views are one-way.  The dual view draws the concentric rings of
-a power-of-two build; the primal view places one bubble per face and threads
-each curve through the midpoints of its edges, topologically faithful but
-geometrically approximate.
+the two SVG views are one-way.  A JSON document (format 2) stores only what
+cannot be derived: vertices, edges and faces are re-traced from the rotation
+on load.  The rotation is a {vertex: neighbors} object, not a list, so that a
+document can leave a vertex out and reach the verifier's spanning check.
+
+The dual view draws the concentric rings of a power-of-two build; the primal
+view places one bubble per face and threads each curve through the midpoints
+of its edges, topologically faithful but geometrically approximate.
 """
 
 from __future__ import annotations
@@ -17,6 +21,9 @@ from .plane_graph import PlaneDualGraph, rotation_problems, trace_faces
 from .verify import face_cycle, verify_graph
 
 
+FORMAT_VERSION = 2
+
+
 class RenderError(ValueError):
     """The graph cannot be drawn in the requested style."""
 
@@ -26,19 +33,16 @@ class DocumentError(ValueError):
 
 
 def to_json(g: PlaneDualGraph, trace=None, report=None) -> dict:
-    """JSON-ready document for the graph, optionally with build trace and report."""
-    faces = trace_faces(g)
+    """Format 2 document for the graph, optionally with build trace and report."""
     doc = {
+        "format_version": FORMAT_VERSION,
         "n": g.n,
         "construction": (
             {"k": g.construction[0], "m": g.construction[1]} if g.construction else None
         ),
-        "vertices": g.vertices(),
-        "edges": [{"u": u, "v": v, "direction": d} for u, v, d in g.edges()],
         "rotation": {str(v): list(g.rotation[v]) for v in sorted(g.rotation)},
-        "faces": [{"vertices": list(f.vertices), "flips": list(f.flips)} for f in faces],
-        "outer_face": g.outer_face_index(),
-        "crossings": len(faces),
+        "outer_edge": list(g.outer_edge),
+        "crossings": len(trace_faces(g)),
         "layout_hint": (
             {str(v): list(g.layout[v]) for v in sorted(g.layout)} if g.layout else None
         ),
@@ -70,7 +74,7 @@ def to_json(g: PlaneDualGraph, trace=None, report=None) -> dict:
 
 
 def dump_json(doc: dict) -> str:
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    return json.dumps(doc, separators=(",", ":"), sort_keys=True) + "\n"
 
 
 def _require(ok: bool, problem: str) -> None:
@@ -85,46 +89,47 @@ def _int_lists(values, length: int | None = None) -> bool:
     ) and all(type(x) is int for v in values for x in v)
 
 
-def _int_keys(table: dict, field: str) -> list[int]:
+def _vertex_table(table, field: str, what: str, length: int | None = None) -> dict:
+    """A {vertex: [int, ...]} object keyed by vertex number, each key as str() writes it."""
+    _require(
+        isinstance(table, dict) and _int_lists(table.values(), length),
+        f"{field} must map each vertex to {what}",
+    )
     try:
-        return list(map(int, table))
+        keys = list(map(int, table))
     except (TypeError, ValueError):
-        raise DocumentError(f"{field} has a key that is not a vertex number") from None
+        keys = []
+    _require(list(map(str, keys)) == list(table), f"{field} has a key that is not a vertex number")
+    return dict(zip(keys, map(list, table.values())))
 
 
 def from_json(doc: dict) -> PlaneDualGraph:
-    """Rebuild a graph from a to_json document, validating it on the way.
+    """Rebuild a graph from a format 2 document, validating it on the way.
 
-    Raises DocumentError on any malformed document.  n and the construction
-    level k are bounded before anything of size 2^n or 2^k is built.
+    Raises DocumentError on any malformed document, including one of another
+    format version.  n and the construction level k are bounded before
+    anything of size 2^n or 2^k is built, and the rotation is checked before
+    its faces are traced.
     """
     _require(isinstance(doc, dict), "document is not a JSON object")
+    version = doc.get("format_version")
+    _require(
+        type(version) is int and version == FORMAT_VERSION,
+        f"format_version {version!r} is not {FORMAT_VERSION}; rebuild with `minvenn build`",
+    )
     n = doc.get("n")
     _require(
         type(n) is int and 1 <= n <= MAX_DIMENSION,
         f"n must be an integer in [1, {MAX_DIMENSION}]",
     )
-    table = doc.get("rotation")
-    _require(
-        isinstance(table, dict) and _int_lists(table.values()),
-        "rotation must map each vertex to a list of integers",
-    )
-    rotation = dict(zip(_int_keys(table, "rotation"), map(list, table.values())))
+    rotation = _vertex_table(doc.get("rotation"), "rotation", "a list of integers")
     problems = rotation_problems(rotation, n)
     if problems:
         raise DocumentError(f"document rotation is inconsistent: {problems[0]}")
-    stored_faces = doc.get("faces")
-    _require(
-        isinstance(stored_faces, list) and all(isinstance(f, dict) for f in stored_faces),
-        "faces must be a list of objects",
-    )
-    outer_index = doc.get("outer_face")
-    _require(
-        type(outer_index) is int and 0 <= outer_index < len(stored_faces),
-        "outer face index out of range",
-    )
-    walk = stored_faces[outer_index].get("vertices")
-    _require(_int_lists([walk]) and len(walk) >= 2, "outer face needs at least 2 vertices")
+    edge = doc.get("outer_edge")
+    _require(_int_lists([edge], 2), "outer_edge must be a [u, v] pair of integers")
+    u, v = edge
+    _require(v in rotation.get(u, ()), f"outer_edge ({u:#x}, {v:#x}) is not in the rotation")
     construction = None
     spec = doc.get("construction")
     if spec is not None:
@@ -138,23 +143,20 @@ def from_json(doc: dict) -> PlaneDualGraph:
     layout = None
     hint = doc.get("layout_hint")
     if hint is not None:
-        _require(
-            isinstance(hint, dict) and _int_lists(hint.values(), 2),
-            "layout_hint must map each vertex to a [ring, position] pair",
-        )
-        layout = dict(zip(_int_keys(hint, "layout_hint"), map(tuple, hint.values())))
+        pairs = _vertex_table(hint, "layout_hint", "a [ring, position] pair", 2)
+        layout = {x: tuple(p) for x, p in pairs.items()}
     g = PlaneDualGraph(
         n=n,
         rotation=rotation,
-        outer_edge=(walk[0], walk[1]),
+        outer_edge=(u, v),
         construction=construction,
         layout=layout,
     )
-    retraced = [
-        {"vertices": list(f.vertices), "flips": list(f.flips)} for f in trace_faces(g)
-    ]
-    if retraced != stored_faces:
-        raise DocumentError("stored faces disagree with the rotation system")
+    crossings, faces = doc.get("crossings"), len(trace_faces(g))
+    _require(
+        type(crossings) is int and crossings == faces,
+        f"crossings must equal the {faces} faces the rotation traces",
+    )
     return g
 
 

@@ -80,9 +80,6 @@ class PlaneDualGraph:
     def edge_count(self) -> int:
         return sum(len(nbrs) for nbrs in self.rotation.values()) // 2
 
-    def faces(self) -> list[Face]:
-        return trace_faces(self)
-
     def edge_face_map(self) -> dict[tuple[int, int], int]:
         trace_faces(self)
         assert self._edge_face is not None

@@ -1,9 +1,12 @@
+import hashlib
 import json
 
 import pytest
 
 from minvenn.builder import build_venn_dual
 from minvenn.doubling import double
+from minvenn.export import from_json
+from minvenn.plane_graph import trace_faces
 
 
 @pytest.fixture(scope="session")
@@ -26,9 +29,22 @@ def doubling_chain(dual8):
     return graphs
 
 
-def _outer_face_one_vertex(doc):
-    face = doc["faces"][doc["outer_face"]]
-    face["vertices"] = face["vertices"][:1]
+# SHA-256 of the n = 8 document as the format 1 writer laid it out.
+FORMAT_1_DOC8_SHA256 = "6f76d22a33fe451a943ff12c585512e2a9cfd3e57ad045edc1ae6097a63cc700"
+
+
+def _format_version_1(doc):
+    """Rewrite the n = 8 document into the format 1 layout, byte for byte."""
+    g = from_json(doc)
+    del doc["format_version"], doc["outer_edge"]
+    doc.update(
+        vertices=g.vertices(),
+        edges=[{"u": u, "v": v, "direction": d} for u, v, d in g.edges()],
+        faces=[{"vertices": list(f.vertices), "flips": list(f.flips)} for f in trace_faces(g)],
+        outer_face=g.outer_face_index(),
+    )
+    text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    assert hashlib.sha256(text.encode()).hexdigest() == FORMAT_1_DOC8_SHA256
 
 
 # Malformed variants of the n = 8 document, each of which from_json must
@@ -36,8 +52,12 @@ def _outer_face_one_vertex(doc):
 # a huge n would make any unbounded code path allocate 2^n.
 MALFORMED_DOCS = {
     "rotation-list": lambda doc: doc.update(rotation=list(doc["rotation"].values())),
-    "outer-face-one-vertex": _outer_face_one_vertex,
-    "faces-not-list": lambda doc: doc.update(faces=5),
+    # "01" names vertex 1 a second time
+    "rotation-duplicate-key": lambda doc: doc["rotation"].update({"01": doc["rotation"]["1"]}),
+    "outer-edge-one-vertex": lambda doc: doc.update(outer_edge=doc["outer_edge"][:1]),
+    # 0 and 255 are not adjacent in Q_8
+    "outer-edge-not-an-edge": lambda doc: doc.update(outer_edge=[0, 255]),
+    "format-version-1": _format_version_1,
     "construction-without-m": lambda doc: doc.update(construction={"k": 3}),
     "n-past-mask-width": lambda doc: doc.update(n=40),
     "construction-k-2": lambda doc: doc.update(construction={"k": 2, "m": 0}),

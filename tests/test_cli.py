@@ -172,8 +172,23 @@ def test_verify_malformed_document_exits_2(tmp_path, malformed_doc):
 
 # SHA-256 of stdout for fixed invocations.  Output is byte-identical for a
 # given input and format version, so a digest changes only with the format.
+# DOC8 stands for the path of the n = 8 document.
+DOC8 = "<venn8.json>"
 PINNED_OUTPUTS = [
-    (["build", "--n", "8"], "dd1b0497081b60e69d11488c9a329f2bbcdfe71e4e3930a6c523ec27b4d772bc"),
+    (["build", "--n", "8"], "e4f0c22af1207d89508bf53dc65deaf11cabd96e3d5a856ef75e161baf2b7cc6"),
+    (
+        ["build", "--n", "8", "--format", "dot"],
+        "bd0de48d9038259cd1c1d0ebe759e8627be5dc4103e5dcad1bc198abe43b99f8",
+    ),
+    (
+        ["build", "--n", "8", "--format", "svg-dual"],
+        "4be54cf3cfe7ac30b16376ec52fcd6c5ffffb5a837d696e4857beec2dd922ee1",
+    ),
+    (
+        ["build", "--n", "8", "--format", "svg-primal"],
+        "a323d1f7f57e336333667a501069f2f514cc28287b1e72fc32fce97045fdfa65",
+    ),
+    (["verify", DOC8, "--json"], "a326d071ae98ddc27fb1b185fb272800170d2a817f594889661b699b662b74bd"),
     (["partition", "--k", "3"], "376957c65120631dd511d65df4a7ec708a4f301b696ad3f9a5a7d552bcf8f4da"),
     (
         ["gray", "--k", "3", "--m", "2", "--stats"],
@@ -184,9 +199,22 @@ PINNED_OUTPUTS = [
 
 
 @pytest.mark.parametrize(
-    "argv,digest", PINNED_OUTPUTS, ids=["build-8", "partition-3", "gray-3-2", "stats-20"]
+    "argv,digest",
+    PINNED_OUTPUTS,
+    ids=[
+        "build-8",
+        "build-8-dot",
+        "build-8-svg-dual",
+        "build-8-svg-primal",
+        "verify-8-json",
+        "partition-3",
+        "gray-3-2",
+        "stats-20",
+    ],
 )
-def test_output_is_byte_identical(capsys, argv, digest):
-    code, out, _err = run(capsys, argv)
+def test_output_is_byte_identical(capsys, tmp_path, doc8_text, argv, digest):
+    doc8 = tmp_path / "venn8.json"
+    doc8.write_text(doc8_text)
+    code, out, _err = run(capsys, [str(doc8) if a == DOC8 else a for a in argv])
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest

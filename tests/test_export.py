@@ -1,10 +1,16 @@
 import json
+import os
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import pytest
 
+import minvenn
 from minvenn.bases import ring_prefixes
 from minvenn.builder import partition_preview_graph
+from minvenn.cli import main
 from minvenn.export import (
     DocumentError,
     RenderError,
@@ -48,11 +54,24 @@ def test_rebuild_produces_identical_document():
 
 
 def test_round_trip_doubled(doubling_chain):
-    g = doubling_chain[9]
-    doc = to_json(g)
+    doc = to_json(doubling_chain[9])
     assert doc["crossings"] == 80
     assert doc["layout_hint"] is None
+    for n in range(9, 16):
+        g = doubling_chain[n]
+        assert from_json(to_json(g)) == g
+
+
+def test_round_trip_non_spanning_ring(tmp_path, capsys):
+    # 8 of the 16 vertices of Q_4.  Only a rotation keyed by vertex can leave
+    # the other 8 out, and so reach the spanning check from a document.
+    g = _single_ring_graph(4)
+    doc = to_json(g)
     assert from_json(doc) == g
+    target = tmp_path / "ring.json"
+    target.write_text(dump_json(doc))
+    assert main(["verify", str(target)]) == 1
+    assert "FAIL  spanning [vertex 0x2 missing]" in capsys.readouterr().err
 
 
 def test_from_json_rejects_tampered_rotation(dual8):
@@ -65,16 +84,31 @@ def test_from_json_rejects_tampered_rotation(dual8):
 
 
 def test_from_json_rejects_tampered_faces(dual8):
+    # crossings is the face count, checked against the re-traced faces
     g, _ = dual8
     doc = to_json(g)
-    doc["faces"] = doc["faces"][::-1]
-    with pytest.raises(ValueError):
+    doc["crossings"] += 1
+    with pytest.raises(DocumentError):
         from_json(doc)
 
 
 def test_from_json_rejects_malformed_document(malformed_doc):
     with pytest.raises(DocumentError):
         from_json(malformed_doc)
+
+
+def test_gallery_documents_load(tmp_path, dual8, doubling_chain):
+    script = Path(__file__).resolve().parents[1] / "scripts" / "render_gallery.py"
+    src = str(Path(minvenn.__file__).resolve().parents[1])
+    subprocess.run(
+        [sys.executable, str(script), str(tmp_path)],
+        check=True,
+        capture_output=True,
+        env={**os.environ, "PYTHONPATH": src},
+        timeout=120,
+    )
+    for name, g in (("venn8.json", dual8[0]), ("venn9.json", doubling_chain[9])):
+        assert from_json(json.loads((tmp_path / name).read_text())) == g
 
 
 def test_to_dot_single_ring():
