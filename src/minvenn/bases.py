@@ -109,7 +109,7 @@ def ramras_path(x: int, n: int) -> Path:
     return Path(x, tuple(range(1, n)))
 
 
-def partition_cycles(k: int, cap: int = DEFAULT_CAP) -> list[list[int]]:
+def partition_cycles(k: int) -> list[list[int]]:
     """The isometric 2n-cycles through every span member, as vertex lists.
 
     They partition V(Q_n) for n = 2^k.  The cycle through x flips
@@ -118,8 +118,8 @@ def partition_cycles(k: int, cap: int = DEFAULT_CAP) -> list[list[int]]:
     """
     _check_level(k)
     n = 1 << k
-    if n > cap:
-        raise ValueError(f"Q_{n} exceeds the materialization cap {cap}")
+    if n > DEFAULT_CAP:
+        raise ValueError(f"Q_{n} exceeds the materialization cap {DEFAULT_CAP}")
     prefixes = ring_prefixes(n)
     return [[x ^ m for m in prefixes] for x in span(basis_C(k).elements)]
 

@@ -81,7 +81,6 @@ def build_venn_dual(
     tie_break: str = "earlier",
     cap: int = DEFAULT_CAP,
     apply_removals: bool = True,
-    validate: bool = True,
 ) -> tuple[PlaneDualGraph, BuildTrace]:
     """Build the dual graph of an n-Venn diagram for n = 2^k, k >= 3.
 
@@ -156,18 +155,17 @@ def build_venn_dual(
         ring_bases=tuple(xs),
         steps=tuple(steps),
     )
-    if validate:
-        check_face_catalog(g)
-        expected = 2 + 4 * (nrings - 1) - parts.covered
-        if apply_removals:
-            expected -= parts.lam
-        got = crossing_count(g)
-        if got != expected:
-            raise BuildError(f"traced {got} faces, run statistics demand {expected}")
+    check_face_catalog(g)
+    expected = 2 + 4 * (nrings - 1) - parts.covered
+    if apply_removals:
+        expected -= parts.lam
+    got = crossing_count(g)
+    if got != expected:
+        raise BuildError(f"traced {got} faces, run statistics demand {expected}")
     return g, trace
 
 
-def partition_preview_graph(k: int, cap: int = DEFAULT_CAP) -> PlaneDualGraph:
+def partition_preview_graph(k: int) -> PlaneDualGraph:
     """Bare concentric cycle partition (no cross edges), for drawing only.
 
     The result is disconnected for k >= 2, so it is not a Venn diagram dual;
@@ -176,8 +174,8 @@ def partition_preview_graph(k: int, cap: int = DEFAULT_CAP) -> PlaneDualGraph:
     if k < 1:
         raise BuildError(f"need k >= 1, got {k}")
     n = 1 << k
-    if n > cap:
-        raise BuildError(f"n={n} exceeds the materialization cap {cap}")
+    if n > DEFAULT_CAP:
+        raise BuildError(f"n={n} exceeds the materialization cap {DEFAULT_CAP}")
     return _concentric_graph(span(basis_C(k).elements), n, None, {}, {}, set())
 
 

@@ -8,7 +8,6 @@ stderr.  Exit codes: 0 success, 1 verification failure, 2 usage error.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 
 from .bases import partition_cycles
@@ -18,6 +17,7 @@ from .export import (
     RenderError,
     dump_json,
     from_json,
+    load_json,
     render_dual_svg,
     render_primal_svg,
     to_dot,
@@ -68,7 +68,7 @@ def _cmd_build(args, parser) -> int:
 def _cmd_verify(args, parser) -> int:
     try:
         with open(args.file, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
+            doc = load_json(fh.read())
         g = from_json(doc)
     except (OSError, ValueError) as exc:
         parser.error(f"cannot load {args.file}: {exc}")

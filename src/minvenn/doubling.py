@@ -112,7 +112,7 @@ def double(g: PlaneDualGraph) -> PlaneDualGraph:
     return out
 
 
-def build_venn(n_total: int, cap: int = DEFAULT_CAP, tie_break: str = "earlier") -> PlaneDualGraph:
+def build_venn(n_total: int, cap: int = DEFAULT_CAP) -> PlaneDualGraph:
     """Dual graph of an n-Venn diagram for any n >= 8.
 
     Builds the largest power-of-two instance at or below n and doubles the
@@ -124,7 +124,7 @@ def build_venn(n_total: int, cap: int = DEFAULT_CAP, tie_break: str = "earlier")
         raise BuildError(f"n={n_total} exceeds the materialization cap {cap}")
     k = n_total.bit_length() - 1
     m = n_total - (1 << k)
-    g, _trace = build_venn_dual(k, tie_break=tie_break, cap=cap)
+    g, _trace = build_venn_dual(k, cap=cap)
     for _ in range(m):
         g = double(g)
     return g

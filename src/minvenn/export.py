@@ -18,7 +18,7 @@ from math import atan2, cos, hypot, pi, sin
 
 from .hypercube import MAX_DIMENSION, MAX_LEVEL, elements_of
 from .plane_graph import PlaneDualGraph, rotation_problems, trace_faces
-from .verify import face_cycle, verify_graph
+from .verify import face_cycle, face_edges_by_direction, verify_graph
 
 
 FORMAT_VERSION = 2
@@ -75,6 +75,20 @@ def to_json(g: PlaneDualGraph, trace=None, report=None) -> dict:
 
 def dump_json(doc: dict) -> str:
     return json.dumps(doc, separators=(",", ":"), sort_keys=True) + "\n"
+
+
+def _unique_keys(pairs: list) -> dict:
+    obj = {}
+    for key, value in pairs:
+        if key in obj:
+            raise DocumentError(f"key {key!r} appears twice in one object")
+        obj[key] = value
+    return obj
+
+
+def load_json(text: str) -> dict:
+    """Parse JSON text, rejecting an object that repeats a key instead of keeping the last."""
+    return json.loads(text, object_pairs_hook=_unique_keys)
 
 
 def _require(ok: bool, problem: str) -> None:
@@ -266,10 +280,9 @@ def render_primal_svg(g: PlaneDualGraph) -> str:
         f'height="{_fmt(size)}" viewBox="0 0 {_fmt(size)} {_fmt(size)}">\n',
         f'<rect width="{_fmt(size)}" height="{_fmt(size)}" fill="white"/>\n',
     ]
+    buckets = face_edges_by_direction(g)
     for j in range(1, g.n + 1):
-        cycle, problem = face_cycle(g, j)
-        if problem:
-            raise RenderError(problem)
+        cycle, _problem = face_cycle(buckets[j], j)  # None: the curves check passed
         coords = []
         for face_idx, edge in cycle:
             fx, fy = points[face_idx]

@@ -139,10 +139,10 @@ def brgc(n: int) -> tuple[int, ...]:
     return tuple((j & -j).bit_length() for j in range(1, 1 << n))
 
 
-def is_hamiltonian_path(seq: tuple[int, ...], n: int, cap: int = MAX_CAP) -> bool:
+def is_hamiltonian_path(seq: tuple[int, ...], n: int) -> bool:
     """Whether walking seq from the empty set visits all 2^n vertices once."""
-    if n > cap:
-        raise ValueError(f"Q_{n} walk exceeds cap {cap}")
+    if n > MAX_CAP:
+        raise ValueError(f"Q_{n} walk exceeds cap {MAX_CAP}")
     if len(seq) != (1 << n) - 1:
         return False
     if any(not 1 <= f <= n for f in seq):
@@ -180,7 +180,7 @@ def _toggle(adj: dict[int, list[int]], u: int, v: int) -> None:
         lv.append(u)
 
 
-def longrun_path(k: int, cap: int = DEFAULT_CAP) -> Path:
+def longrun_path(k: int) -> Path:
     """Hamiltonian path of Q_n, n = 2^k, maximizing (n-1)-run coverage.
 
     For k = 2 this is an explicit path.  For k >= 3 the 2n-cycles through the
@@ -193,8 +193,8 @@ def longrun_path(k: int, cap: int = DEFAULT_CAP) -> Path:
     n = 1 << k
     if k == 2:
         return Path(0, _Q4_LONGRUN)
-    if n > cap:
-        raise ValueError(f"Q_{n} exceeds the materialization cap {cap}")
+    if n > DEFAULT_CAP:
+        raise ValueError(f"Q_{n} exceeds the materialization cap {DEFAULT_CAP}")
     d = n - k - 1
     pairs = _longrun_coefficient_order(k)
     cmasks = [mask_of(p) for p in pairs]
@@ -235,7 +235,7 @@ def longrun_path(k: int, cap: int = DEFAULT_CAP) -> Path:
     return Path(start, path_flips)
 
 
-def product_path(k: int, m: int, cap: int = DEFAULT_CAP) -> Path:
+def product_path(k: int, m: int) -> Path:
     """Hamiltonian path of Q_{n+m}, n = 2^k, scaling the long-run path 2^m times.
 
     The flip sequence alternates forward and reversed copies of the base
@@ -244,7 +244,7 @@ def product_path(k: int, m: int, cap: int = DEFAULT_CAP) -> Path:
     """
     if m < 0 or m >= (1 << k):
         raise ValueError(f"need 0 <= m < 2^k, got m={m}")
-    base = longrun_path(k, cap=cap)
+    base = longrun_path(k)
     if m == 0:
         return base
     n = 1 << k

@@ -2,10 +2,11 @@
 
 A valid dual graph of an n-Venn diagram must (1) span all 2^n hypercube
 vertices, (2) be a plane graph in which every face of length 2L carries
-exactly two edges of L distinct directions, and (3) induce connected
-subgraphs on the inside and outside of every curve.  Planarity of the
-explicit rotation system is certified by Euler's formula on a connected
-graph; no general planarity test is involved.
+exactly two edges of L distinct directions, and (3) for every curve j, G
+minus the direction-j edges has exactly two components, one inside curve j
+and one outside it, so that both sides of the curve are connected.
+Planarity of the explicit rotation system is certified by Euler's formula
+on a connected graph; no general planarity test is involved.
 """
 
 from __future__ import annotations
@@ -71,26 +72,6 @@ class VerificationReport:
             lines.append(f"  {status}  {c.name}{suffix}")
         lines.append("verdict: " + ("PASS" if self.passed else "FAIL"))
         return "\n".join(lines)
-
-
-class UnionFind:
-    def __init__(self, items) -> None:
-        self.parent = {x: x for x in items}
-        self.count = len(self.parent)
-
-    def find(self, x):
-        root = x
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while self.parent[x] != root:
-            self.parent[x], x = root, self.parent[x]
-        return root
-
-    def union(self, x, y) -> None:
-        rx, ry = self.find(x), self.find(y)
-        if rx != ry:
-            self.parent[ry] = rx
-            self.count -= 1
 
 
 def lower_bound(n: int) -> int:
@@ -162,14 +143,35 @@ def check_spanning(g: PlaneDualGraph) -> CheckResult:
     return CheckResult("spanning", False, f"vertex {stray:#x} outside Q_{g.n}")
 
 
+def _component_roots(rotation: dict[int, list[int]], skip_bit: int) -> list[int]:
+    """First vertex reached in each component, leaving out edges u, v with u ^ v == skip_bit.
+
+    skip_bit 0 keeps every edge.  One iterative walk over a consistent
+    rotation; the set of seen vertices grows with the rotation, not with
+    2^n, so a sparse document with a large n stays small.
+    """
+    seen: set[int] = set()
+    roots = []
+    for root in rotation:
+        if root in seen:
+            continue
+        roots.append(root)
+        seen.add(root)
+        stack = [root]
+        while stack:
+            u = stack.pop()
+            for v in rotation[u]:
+                if v not in seen and u ^ v != skip_bit:
+                    seen.add(v)
+                    stack.append(v)
+    return roots
+
+
 def check_connected(g: PlaneDualGraph) -> CheckResult:
-    uf = UnionFind(g.rotation)
-    for u, nbrs in g.rotation.items():
-        for v in nbrs:
-            uf.union(u, v)
-    if uf.count == 1:
+    count = len(_component_roots(g.rotation, 0))
+    if count == 1:
         return CheckResult("connected", True)
-    return CheckResult("connected", False, f"{uf.count} components")
+    return CheckResult("connected", False, f"{count} components")
 
 
 def check_euler(g: PlaneDualGraph) -> CheckResult:
@@ -205,45 +207,53 @@ def check_faces(g: PlaneDualGraph) -> CheckResult:
     return CheckResult("faces-direction-pairs", True)
 
 
-def face_cycle(g: PlaneDualGraph, j: int):
+def face_edges_by_direction(g: PlaneDualGraph) -> list[list[int]]:
+    """One sweep over the faces, sorting every edge step by its direction.
+
+    Entry j lists, for each step of direction j in face order, the face
+    index followed by the edge's lower endpoint, as a flat list of ints.
+    """
+    buckets: list[list[int]] = [[] for _ in range(g.n + 1)]
+    for idx, f in enumerate(trace_faces(g)):
+        verts = f.vertices
+        for d, u, v in zip(f.flips, verts, verts[1:] + verts[:1]):
+            buckets[d] += (idx, u if u < v else v)
+    return buckets
+
+
+def face_cycle(bucket: list[int], j: int):
     """Cyclic order of faces along curve j, or (None, problem).
 
-    Returns (cycle, None) where cycle is a list of (face_index, edge) pairs;
-    crossing `edge` leads from that face to the next one in the list.
+    bucket is entry j of face_edges_by_direction.  Returns (cycle, None)
+    where cycle is a list of (face_index, edge) pairs; crossing `edge`
+    leads from that face to the next one in the list.
     """
-    faces = trace_faces(g)
-    edge_key = lambda u, v: (u, v) if u < v else (v, u)
-    incident: dict[int, list[tuple[int, int]]] = {}
-    by_edge: dict[tuple[int, int], list[int]] = {}
-    for idx, f in enumerate(faces):
-        for t, d in enumerate(f.flips):
-            if d != j:
-                continue
-            e = edge_key(f.vertices[t], f.vertices[(t + 1) % len(f)])
-            incident.setdefault(idx, []).append(e)
-            by_edge.setdefault(e, []).append(idx)
-    if not incident:
+    if not bucket:
         return None, f"direction {j} appears on no face"
+    # An edge of direction j is named by its lower endpoint.
+    incident: dict[int, list[int]] = {}
+    by_edge: dict[int, list[int]] = {}
+    for idx, low in zip(bucket[::2], bucket[1::2]):
+        incident.setdefault(idx, []).append(low)
+        by_edge.setdefault(low, []).append(idx)
     for idx, es in incident.items():
         if len(es) != 2 or es[0] == es[1]:
             return None, f"face {idx} carries {len(es)} edges of direction {j}"
-    for e, fs in by_edge.items():
-        if len(fs) != 2 or fs[0] == fs[1]:
-            return None, f"edge {e} of direction {j} borders faces {fs}"
-
-    start = min(incident)
+    # The trace walks each side of an edge once, so every edge now borders
+    # two distinct faces, each with two edges of direction j: the walk from
+    # face to face closes, and the question is only whether it reaches all.
+    jbit = 1 << (j - 1)
+    start = face = min(incident)
+    edge = start_edge = min(incident[start])
     cycle = []
-    cur_face = start
-    cur_edge = min(incident[start])
-    while True:
-        cycle.append((cur_face, cur_edge))
-        nxt_face = next(fi for fi in by_edge[cur_edge] if fi != cur_face)
-        nxt_edge = next(e for e in incident[nxt_face] if e != cur_edge)
-        cur_face, cur_edge = nxt_face, nxt_edge
-        if (cur_face, cur_edge) == (start, min(incident[start])):
+    while len(cycle) < len(incident):
+        cycle.append((face, (edge, edge | jbit)))
+        f1, f2 = by_edge[edge]
+        face = f2 if f1 == face else f1
+        e1, e2 = incident[face]
+        edge = e2 if e1 == edge else e1
+        if (face, edge) == (start, start_edge):
             break
-        if len(cycle) > len(incident):
-            return None, f"direction {j} face walk does not close"
     if len(cycle) != len(incident):
         return None, (
             f"direction {j} splits into several closed curves "
@@ -253,25 +263,23 @@ def face_cycle(g: PlaneDualGraph, j: int):
 
 
 def check_curves(g: PlaneDualGraph) -> CheckResult:
-    """Inside and outside of every curve connected; each curve one closed cycle."""
-    n = g.n
-    for j in range(1, n + 1):
+    """Inside and outside of every curve connected; each curve one closed cycle.
+
+    Every edge of a direction other than j keeps bit j, so each component
+    of G minus the direction-j edges lies on one side of curve j, and bit j
+    of its first vertex tells which.
+    """
+    buckets = face_edges_by_direction(g)
+    for j in range(1, g.n + 1):
         jbit = 1 << (j - 1)
-        for side_name, keep in (("inside", True), ("outside", False)):
-            side = [v for v in g.rotation if bool(v & jbit) == keep]
-            uf = UnionFind(side)
-            member = set(side)
-            for u in side:
-                for v in g.rotation[u]:
-                    if v in member:
-                        uf.union(u, v)
-            if uf.count != 1:
+        roots = _component_roots(g.rotation, jbit)
+        inside = sum(1 for v in roots if v & jbit)
+        for side, count in (("inside", inside), ("outside", len(roots) - inside)):
+            if count != 1:
                 return CheckResult(
-                    "curves-simple",
-                    False,
-                    f"direction {j}: {side_name} splits into {uf.count} components",
+                    "curves-simple", False, f"direction {j}: {side} splits into {count} components"
                 )
-        _cycle, problem = face_cycle(g, j)
+        problem = face_cycle(buckets[j], j)[1]
         if problem:
             return CheckResult("curves-simple", False, problem)
     return CheckResult("curves-simple", True)

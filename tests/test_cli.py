@@ -154,9 +154,8 @@ def test_verify_failing_document(tmp_path, capsys):
     assert "verdict: FAIL" in err
 
 
-def test_verify_malformed_document_exits_2(tmp_path, malformed_doc):
-    target = tmp_path / "bad.json"
-    target.write_text(json.dumps(malformed_doc))
+def assert_verify_exits_2(target):
+    """`minvenn verify target` in a fresh process is a usage error, not a traceback."""
     src = str(Path(minvenn.__file__).resolve().parents[1])
     proc = subprocess.run(
         [sys.executable, "-m", "minvenn.cli", "verify", str(target)],
@@ -168,6 +167,23 @@ def test_verify_malformed_document_exits_2(tmp_path, malformed_doc):
     assert proc.returncode == 2
     assert "minvenn: error:" in proc.stderr
     assert "Traceback" not in proc.stderr
+    return proc.stderr
+
+
+def test_verify_malformed_document_exits_2(tmp_path, malformed_doc):
+    target = tmp_path / "bad.json"
+    target.write_text(json.dumps(malformed_doc))
+    assert_verify_exits_2(target)
+
+
+def test_verify_rejects_repeated_vertex_key(tmp_path, doc8_text):
+    # A plain JSON parser keeps the later, genuine entry for vertex 1, so
+    # without the check this document would verify PASS.
+    text = doc8_text.replace('"rotation":{', '"rotation":{"1":[0,3,5,77],', 1)
+    assert json.loads(text) == json.loads(doc8_text)
+    target = tmp_path / "repeated.json"
+    target.write_text(text)
+    assert "key '1' appears twice in one object" in assert_verify_exits_2(target)
 
 
 # SHA-256 of stdout for fixed invocations.  Output is byte-identical for a

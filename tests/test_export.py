@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
@@ -16,6 +17,7 @@ from minvenn.export import (
     RenderError,
     dump_json,
     from_json,
+    load_json,
     render_dual_svg,
     render_primal_svg,
     to_dot,
@@ -74,6 +76,33 @@ def test_round_trip_non_spanning_ring(tmp_path, capsys):
     assert "FAIL  spanning [vertex 0x2 missing]" in capsys.readouterr().err
 
 
+def test_sparse_document_with_large_n_stays_small(tmp_path, capsys):
+    # Four vertices of Q_32, two of them near the top of the range: the
+    # verifier must use memory in proportion to the document, not to 2^32.
+    high = 0x7FFFFFFF
+    top = high | 1 << 31
+    doc = {
+        "format_version": 2,
+        "n": 32,
+        "construction": None,
+        "rotation": {"0": [1], "1": [0], str(high): [top], str(top): [high]},
+        "outer_edge": [0, 1],
+        "crossings": 2,
+        "layout_hint": None,
+    }
+    target = tmp_path / "sparse32.json"
+    target.write_text(dump_json(doc))
+    tracemalloc.start()
+    try:
+        code = main(["verify", str(target)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 1
+    assert "FAIL  spanning [vertex 0x2 missing]" in capsys.readouterr().err
+    assert peak < 1 << 20
+
+
 def test_from_json_rejects_tampered_rotation(dual8):
     g, _ = dual8
     doc = json.loads(dump_json(to_json(g)))
@@ -95,6 +124,12 @@ def test_from_json_rejects_tampered_faces(dual8):
 def test_from_json_rejects_malformed_document(malformed_doc):
     with pytest.raises(DocumentError):
         from_json(malformed_doc)
+
+
+def test_load_json_rejects_repeated_keys(doc8_text):
+    assert load_json(doc8_text) == json.loads(doc8_text)
+    with pytest.raises(DocumentError, match="key 'b' appears twice"):
+        load_json('{"a": {"b": 1, "c": 2, "b": 3}}')
 
 
 def test_gallery_documents_load(tmp_path, dual8, doubling_chain):

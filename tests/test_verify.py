@@ -5,6 +5,8 @@ import pytest
 from minvenn.builder import partition_preview_graph
 from minvenn.plane_graph import PlaneDualGraph, trace_faces
 from minvenn.verify import (
+    CheckResult,
+    check_connected,
     check_curves,
     check_euler,
     check_faces,
@@ -12,6 +14,7 @@ from minvenn.verify import (
     expected_crossings,
     face_condition_ok,
     face_cycle,
+    face_edges_by_direction,
     lower_bound,
     monotone_reference,
     verify_graph,
@@ -106,7 +109,10 @@ def test_disjoint_rings_fail_curve_checks():
     g = partition_preview_graph(2)
     assert check_spanning(g).passed
     assert not check_euler(g).passed
-    assert not check_curves(g).passed
+    assert check_connected(g) == CheckResult("connected", False, "2 components")
+    assert check_curves(g) == CheckResult(
+        "curves-simple", False, "direction 1: inside splits into 2 components"
+    )
     report = verify_graph(g)
     assert not report.passed
 
@@ -122,12 +128,18 @@ def test_rotation_problems_short_circuit():
 def test_face_cycles_per_direction(dual8):
     g, _ = dual8
     faces = trace_faces(g)
+    buckets = face_edges_by_direction(g)
+    assert len(buckets) == 9 and buckets[0] == []
     for j in range(1, 9):
-        cycle, problem = face_cycle(g, j)
+        cycle, problem = face_cycle(buckets[j], j)
         assert problem is None
         with_j = [idx for idx, f in enumerate(faces) if j in f.flips]
         assert len(cycle) == len(with_j)
         assert sorted(idx for idx, _edge in cycle) == sorted(with_j)
+        for idx, (u, v) in cycle:
+            assert u < v and u ^ v == 1 << (j - 1)
+            assert v in g.rotation[u]
+    assert face_cycle([], 3) == (None, "direction 3 appears on no face")
 
 
 def test_doubled_graph_verifies(doubling_chain):

@@ -1,0 +1,94 @@
+"""The verifier's connectivity and curve checks against the union-find oracle.
+
+`verify_oracle` keeps the checks the verifier used before they were rebuilt
+on one component walk and one face sweep.  Both must give equal results,
+witnesses included, on every build n = 8..16 and on fixed mutations of the
+n = 8 and n = 9 graphs.
+"""
+
+import re
+
+import pytest
+
+import verify_oracle as oracle
+from minvenn import verify
+from minvenn.plane_graph import PlaneDualGraph
+from minvenn.verify import CheckResult
+
+MUTATIONS = ("swap-first-two", "reverse-rotation", "delete-edge", "drop-vertex")
+
+
+def oracle_report(g: PlaneDualGraph) -> dict:
+    """verify_graph's report with the oracle's connectivity and curve checks."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(verify, "check_connected", oracle.check_connected)
+        mp.setattr(verify, "check_curves", oracle.check_curves)
+        return verify.verify_graph(g).to_dict()
+
+
+def assert_agrees(g: PlaneDualGraph) -> dict[str, CheckResult]:
+    """Assert both implementations agree on g; return the oracle's checks by name."""
+    want = oracle_report(g)
+    assert verify.verify_graph(g).to_dict() == want
+    checks = {c["name"]: CheckResult(**c) for c in want["checks"]}
+    if "curves-simple" in checks:  # the rotation is consistent, so every check ran
+        assert verify.check_connected(g) == checks["connected"]
+        assert verify.check_curves(g) == checks["curves-simple"]
+    return checks
+
+
+def mutate(g: PlaneDualGraph, v: int, kind: str) -> PlaneDualGraph:
+    """A copy of g with one local defect at vertex v; the rotation stays consistent."""
+    rotation = {u: list(nbrs) for u, nbrs in g.rotation.items()}
+    nbrs = rotation[v]
+    if kind == "swap-first-two":
+        nbrs[0], nbrs[1] = nbrs[1], nbrs[0]
+    elif kind == "reverse-rotation":
+        nbrs.reverse()
+    elif kind == "delete-edge":
+        rotation[nbrs.pop(0)].remove(v)
+    else:
+        for u in rotation.pop(v):
+            rotation[u].remove(v)
+    return PlaneDualGraph(
+        n=g.n, rotation=rotation, outer_edge=g.outer_edge, construction=g.construction
+    )
+
+
+@pytest.fixture(scope="module")
+def builds(dual16, doubling_chain):
+    return {**doubling_chain, 16: dual16[0]}
+
+
+@pytest.mark.parametrize("n", range(8, 17))
+def test_build_agrees_with_oracle(builds, n):
+    g = builds[n]
+    checks = assert_agrees(g)
+    assert checks["connected"].passed and checks["curves-simple"].passed
+    if n <= 12:
+        buckets = verify.face_edges_by_direction(g)
+        for j in range(1, n + 1):
+            assert verify.face_cycle(buckets[j], j) == oracle.face_cycle(g, j)
+
+
+def test_mutations_agree_with_oracle(dual8, doubling_chain):
+    witnesses = set()
+    count = 0
+    for g in (dual8[0], doubling_chain[9]):
+        for v in sorted(g.rotation)[:64]:
+            for kind in MUTATIONS:
+                mutant = mutate(g, v, kind)
+                checks = assert_agrees(mutant)
+                buckets = verify.face_edges_by_direction(mutant)
+                for j in range(1, g.n + 1):
+                    assert verify.face_cycle(buckets[j], j) == oracle.face_cycle(mutant, j)
+                witness = checks["curves-simple"].witness
+                if witness:
+                    witnesses.add(re.sub(r"\d+", "#", witness))
+                count += 1
+    assert count == 512
+    assert {
+        "direction #: inside splits into # components",
+        "direction #: outside splits into # components",
+        "face # carries # edges of direction #",
+    } <= witnesses
