@@ -196,11 +196,9 @@ def _concentric_graph(
     prefixes = ring_prefixes(n)
     two_n = 2 * n
     rotation: dict[int, list[int]] = {}
-    layout: dict[int, tuple[int, int]] = {}
-    for ri, base in enumerate(ring_bases):
+    for base in ring_bases:
         ring = [base ^ m for m in prefixes]
         for p, v in enumerate(ring):
-            layout[v] = (ri + 1, p)
             # Cyclic order: successor on the ring, inward cross edge,
             # predecessor on the ring, outward cross edge.
             order = []
@@ -220,7 +218,7 @@ def _concentric_graph(
         rotation=rotation,
         outer_edge=(ring_bases[0], ring_bases[0] ^ 1),
         construction=construction,
-        layout=layout,
+        ring_bases=tuple(ring_bases),
     )
 
 

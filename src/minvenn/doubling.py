@@ -103,7 +103,6 @@ def double(g: PlaneDualGraph) -> PlaneDualGraph:
         rotation=rotation,
         outer_edge=(cf.vertex, cf.vertex | bit),
         construction=construction,
-        layout=None,
     )
     before = len(trace_faces(g))
     after = len(trace_faces(out))

@@ -1,12 +1,14 @@
 """Serialization (JSON, DOT) and schematic SVG rendering.
 
 JSON is the canonical interchange format and round-trips losslessly; DOT and
-the two SVG views are one-way.  A JSON document (format 2) stores only what
+the two SVG views are one-way.  A JSON document (format 3) stores only what
 cannot be derived: vertices, edges and faces are re-traced from the rotation
-on load.  The rotation is a {vertex: neighbors} object, not a list, so that a
-document can leave a vertex out and reach the verifier's spanning check.
+on load, and the concentric layout is kept as the base vertex of each ring.
+The rotation is a {vertex: neighbors} object, not a list, so that a document
+can leave a vertex out and reach the verifier's spanning check.
 
-The dual view draws the concentric rings of a power-of-two build; the primal
+The dual view draws the concentric rings of a power-of-two build, placing
+each vertex by its ring's base vertex (_layout_geometry); the primal
 view places one bubble per face and threads each curve through the midpoints
 of its edges, topologically faithful but geometrically approximate.
 """
@@ -16,12 +18,13 @@ from __future__ import annotations
 import json
 from math import atan2, cos, hypot, pi, sin
 
+from .bases import ring_prefixes
 from .hypercube import MAX_DIMENSION, MAX_LEVEL, elements_of
 from .plane_graph import PlaneDualGraph, rotation_problems, trace_faces
 from .verify import face_cycle, face_edges_by_direction, verify_graph
 
 
-FORMAT_VERSION = 2
+FORMAT_VERSION = 3
 
 
 class RenderError(ValueError):
@@ -33,7 +36,7 @@ class DocumentError(ValueError):
 
 
 def to_json(g: PlaneDualGraph, trace=None, report=None) -> dict:
-    """Format 2 document for the graph, optionally with build trace and report."""
+    """Format 3 document for the graph, optionally with build trace and report."""
     doc = {
         "format_version": FORMAT_VERSION,
         "n": g.n,
@@ -43,9 +46,7 @@ def to_json(g: PlaneDualGraph, trace=None, report=None) -> dict:
         "rotation": {str(v): list(g.rotation[v]) for v in sorted(g.rotation)},
         "outer_edge": list(g.outer_edge),
         "crossings": len(trace_faces(g)),
-        "layout_hint": (
-            {str(v): list(g.layout[v]) for v in sorted(g.layout)} if g.layout else None
-        ),
+        "ring_bases": None if g.ring_bases is None else list(g.ring_bases),
     }
     if trace is not None:
         doc["build_trace"] = {
@@ -96,17 +97,15 @@ def _require(ok: bool, problem: str) -> None:
         raise DocumentError(problem)
 
 
-def _int_lists(values, length: int | None = None) -> bool:
-    """Whether every value is a list of ints, of the given length if one is set."""
-    return all(
-        type(v) is list and (length is None or len(v) == length) for v in values
-    ) and all(type(x) is int for v in values for x in v)
+def _int_lists(values) -> bool:
+    """Whether every value is a list of ints."""
+    return all(type(v) is list for v in values) and all(type(x) is int for v in values for x in v)
 
 
-def _vertex_table(table, field: str, what: str, length: int | None = None) -> dict:
+def _vertex_table(table, field: str, what: str) -> dict:
     """A {vertex: [int, ...]} object keyed by vertex number, each key as str() writes it."""
     _require(
-        isinstance(table, dict) and _int_lists(table.values(), length),
+        isinstance(table, dict) and _int_lists(table.values()),
         f"{field} must map each vertex to {what}",
     )
     try:
@@ -118,7 +117,7 @@ def _vertex_table(table, field: str, what: str, length: int | None = None) -> di
 
 
 def from_json(doc: dict) -> PlaneDualGraph:
-    """Rebuild a graph from a format 2 document, validating it on the way.
+    """Rebuild a graph from a format 3 document, validating it on the way.
 
     Raises DocumentError on any malformed document, including one of another
     format version.  n and the construction level k are bounded before
@@ -141,7 +140,7 @@ def from_json(doc: dict) -> PlaneDualGraph:
     if problems:
         raise DocumentError(f"document rotation is inconsistent: {problems[0]}")
     edge = doc.get("outer_edge")
-    _require(_int_lists([edge], 2), "outer_edge must be a [u, v] pair of integers")
+    _require(_int_lists([edge]) and len(edge) == 2, "outer_edge must be a [u, v] pair of integers")
     u, v = edge
     _require(v in rotation.get(u, ()), f"outer_edge ({u:#x}, {v:#x}) is not in the rotation")
     construction = None
@@ -154,17 +153,17 @@ def from_json(doc: dict) -> PlaneDualGraph:
             f"construction needs integers 3 <= k <= {MAX_LEVEL} and 0 <= m < 2^k",
         )
         construction = (k, m)
-    layout = None
-    hint = doc.get("layout_hint")
-    if hint is not None:
-        pairs = _vertex_table(hint, "layout_hint", "a [ring, position] pair", 2)
-        layout = {x: tuple(p) for x, p in pairs.items()}
+    bases = doc.get("ring_bases")
+    _require(
+        bases is None or _int_lists([bases]) and all(b in rotation for b in bases),
+        "ring_bases must be null or a list of vertices of the rotation",
+    )
     g = PlaneDualGraph(
         n=n,
         rotation=rotation,
         outer_edge=(u, v),
         construction=construction,
-        layout=layout,
+        ring_bases=None if bases is None else tuple(bases),
     )
     crossings, faces = doc.get("crossings"), len(trace_faces(g))
     _require(
@@ -191,9 +190,12 @@ def _fmt(x: float) -> str:
 
 
 def _layout_geometry(g: PlaneDualGraph):
-    if not g.layout:
+    """Each vertex's (ring, position), rings numbered from 1 outermost first, and a placement."""
+    if not g.ring_bases:
         raise RenderError("no concentric layout")
-    num_rings = max(ring for ring, _pos in g.layout.values())
+    prefixes = ring_prefixes(g.n)
+    layout = {b ^ m: (r, p) for r, b in enumerate(g.ring_bases, 1) for p, m in enumerate(prefixes)}
+    num_rings = len(g.ring_bases)
     gap = max(3.0, 360.0 / num_rings)
     r_inner = 26.0
     r_outer = r_inner + gap * num_rings
@@ -201,12 +203,12 @@ def _layout_geometry(g: PlaneDualGraph):
     two_n = 2 * g.n
 
     def position(v: int) -> tuple[float, float]:
-        ring, p = g.layout[v]
+        ring, p = layout[v]
         r = r_inner + gap * (num_rings - ring + 1)
         theta = 2.0 * pi * p / two_n - pi / 2.0
         return center + r * cos(theta), center + r * sin(theta)
 
-    return position, center, r_outer, num_rings
+    return layout, position, center, r_outer, num_rings
 
 
 _SVG_HEAD = '<?xml version="1.0" encoding="UTF-8"?>\n'
@@ -214,7 +216,7 @@ _SVG_HEAD = '<?xml version="1.0" encoding="UTF-8"?>\n'
 
 def render_dual_svg(g: PlaneDualGraph) -> str:
     """Concentric drawing of the dual graph: rings, cross edges, vertices."""
-    position, center, r_outer, _num_rings = _layout_geometry(g)
+    layout, position, center, r_outer, _num_rings = _layout_geometry(g)
     size = 2.0 * center
     parts = [
         _SVG_HEAD,
@@ -223,7 +225,7 @@ def render_dual_svg(g: PlaneDualGraph) -> str:
         f'<rect width="{_fmt(size)}" height="{_fmt(size)}" fill="white"/>\n',
     ]
     for u, v, _d in g.edges():
-        same_ring = g.layout[u][0] == g.layout[v][0]
+        same_ring = layout[u][0] == layout[v][0]
         x1, y1 = position(u)
         x2, y2 = position(v)
         color, width = ("#202020", 1.2) if same_ring else ("#888888", 0.9)
@@ -245,7 +247,7 @@ def _curve_color(j: int, n: int) -> str:
 
 def render_primal_svg(g: PlaneDualGraph) -> str:
     """Schematic primal diagram: one bubble per crossing, one polyline per curve."""
-    position, center, r_outer, num_rings = _layout_geometry(g)
+    layout, position, center, r_outer, num_rings = _layout_geometry(g)
     report = verify_graph(g)
     if not report.passed:
         raise RenderError("graph failed verification; refusing to draw curves")
@@ -258,7 +260,7 @@ def render_primal_svg(g: PlaneDualGraph) -> str:
         face = faces[idx]
         if idx == outer_index:
             return center, center - r_outer - 16.0
-        rings = {g.layout[v][0] for v in face.vertices}
+        rings = {layout[v][0] for v in face.vertices}
         if rings == {num_rings} and len(face) == two_n:
             return center, center  # the innermost ring face
         sx = sy = rr = 0.0

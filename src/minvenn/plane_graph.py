@@ -3,8 +3,11 @@
 A rotation system assigns each vertex the cyclic order of its incident
 edges.  Tracing faces with the standard next-edge rule certifies the
 embedding: if the traced face count satisfies Euler's formula on a connected
-graph, the rotation describes a sphere embedding.  Graphs are treated as
-immutable once built; the face list is computed on first use and cached.
+graph, the rotation describes a sphere embedding.  The trace walks the
+rotation lists themselves, one pass per face, and stops at the first edge
+it has already traced, so a malformed rotation cannot make it loop.  Graphs
+are treated as immutable once built; the face list is computed on first use
+and cached.
 """
 
 from __future__ import annotations
@@ -29,35 +32,27 @@ class Face:
         return len(self.vertices)
 
 
-@dataclass(eq=False)
+@dataclass
 class PlaneDualGraph:
     """A plane spanning subgraph of Q_n, the dual of a Venn diagram.
 
     rotation maps each vertex bitmask to the cyclic list of its neighbors.
     outer_edge is a directed edge whose traced face is the outer face.
     construction records (k, m) for graphs built here: a power-of-two base
-    build with k levels, doubled m times.  layout gives (ring, position) for
-    concentric builds and is None for doubled or imported graphs.
+    build with k levels, doubled m times.  ring_bases lists the base vertex
+    of each concentric ring, outermost first, for concentric builds (ring
+    vertex p is base ^ ring_prefixes(n)[p]); it is None for doubled graphs.
     """
 
     n: int
     rotation: dict[int, list[int]]
     outer_edge: tuple[int, int]
     construction: tuple[int, int] | None = None
-    layout: dict[int, tuple[int, int]] | None = None
-    _faces: list[Face] | None = field(default=None, init=False, repr=False)
-    _edge_face: dict[tuple[int, int], int] | None = field(default=None, init=False, repr=False)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, PlaneDualGraph):
-            return NotImplemented
-        return (
-            self.n == other.n
-            and self.rotation == other.rotation
-            and self.outer_edge == other.outer_edge
-            and self.construction == other.construction
-            and self.layout == other.layout
-        )
+    ring_bases: tuple[int, ...] | None = None
+    _faces: list[Face] | None = field(default=None, init=False, repr=False, compare=False)
+    _edge_face: dict[tuple[int, int], int] | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     def vertices(self) -> list[int]:
         return sorted(self.rotation)
@@ -99,35 +94,30 @@ def trace_faces(g: PlaneDualGraph) -> list[Face]:
 
 
 def _trace(rotation: dict[int, list[int]]) -> tuple[list[Face], dict[tuple[int, int], int]]:
-    succ: dict[tuple[int, int], int] = {}
-    for v, nbrs in rotation.items():
-        deg = len(nbrs)
-        for t, u in enumerate(nbrs):
-            succ[(u, v)] = nbrs[(t + 1) % deg]
-
     faces: list[Face] = []
     edge_face: dict[tuple[int, int], int] = {}
     for u in sorted(rotation):
         for v in rotation[u]:
             if (u, v) in edge_face:
                 continue
-            walk = []
+            walk, flips = [], []
             a, b = u, v
-            while True:
+            while (a, b) not in edge_face:
                 edge_face[(a, b)] = len(faces)
                 walk.append(a)
+                flips.append(edge_direction(a, b))
                 try:
-                    a, b = b, succ[(a, b)]
-                except KeyError:
+                    nbrs = rotation[b]
+                    a, b = b, nbrs[nbrs.index(a) + 1 - len(nbrs)]
+                except (KeyError, ValueError):
                     raise InconsistentRotation(
                         f"edge ({a:#x}, {b:#x}) missing from the rotation at {b:#x}"
                     ) from None
-                if (a, b) == (u, v):
-                    break
-            flips = tuple(
-                edge_direction(walk[t], walk[(t + 1) % len(walk)]) for t in range(len(walk))
-            )
-            faces.append(Face(tuple(walk), flips))
+            if (a, b) != (u, v):
+                raise InconsistentRotation(
+                    f"face walk from ({u:#x}, {v:#x}) runs into the traced edge ({a:#x}, {b:#x})"
+                )
+            faces.append(Face(tuple(walk), tuple(flips)))
     return faces, edge_face
 
 

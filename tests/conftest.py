@@ -3,6 +3,7 @@ import json
 
 import pytest
 
+from minvenn.bases import ring_prefixes
 from minvenn.builder import build_venn_dual
 from minvenn.doubling import double
 from minvenn.export import from_json
@@ -29,14 +30,25 @@ def doubling_chain(dual8):
     return graphs
 
 
-# SHA-256 of the n = 8 document as the format 1 writer laid it out.
+# SHA-256 of the n = 8 document as the format 1 and format 2 writers laid it out.
 FORMAT_1_DOC8_SHA256 = "6f76d22a33fe451a943ff12c585512e2a9cfd3e57ad045edc1ae6097a63cc700"
+FORMAT_2_DOC8_SHA256 = "5eac4ec3f3d1c6f527dc35eeaf6f5ed9108a1c34df86b601db49e4a3d0944e56"
+
+
+def _layout_hint(doc):
+    """Replace ring_bases by the {vertex: [ring, position]} table formats 1 and 2 stored."""
+    prefixes = ring_prefixes(doc["n"])
+    bases = doc.pop("ring_bases")
+    doc["layout_hint"] = {
+        str(b ^ m): [ring, p] for ring, b in enumerate(bases, 1) for p, m in enumerate(prefixes)
+    }
 
 
 def _format_version_1(doc):
     """Rewrite the n = 8 document into the format 1 layout, byte for byte."""
     g = from_json(doc)
     del doc["format_version"], doc["outer_edge"]
+    _layout_hint(doc)
     doc.update(
         vertices=g.vertices(),
         edges=[{"u": u, "v": v, "direction": d} for u, v, d in g.edges()],
@@ -45,6 +57,15 @@ def _format_version_1(doc):
     )
     text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
     assert hashlib.sha256(text.encode()).hexdigest() == FORMAT_1_DOC8_SHA256
+
+
+def _format_version_2(doc):
+    """Rewrite the n = 8 document into the format 2 layout, byte for byte."""
+    doc["format_version"] = 2
+    _layout_hint(doc)
+    text = json.dumps(doc, separators=(",", ":"), sort_keys=True) + "\n"
+    assert len(text) == 7320
+    assert hashlib.sha256(text.encode()).hexdigest() == FORMAT_2_DOC8_SHA256
 
 
 # Malformed variants of the n = 8 document, each of which from_json must
@@ -58,6 +79,10 @@ MALFORMED_DOCS = {
     # 0 and 255 are not adjacent in Q_8
     "outer-edge-not-an-edge": lambda doc: doc.update(outer_edge=[0, 255]),
     "format-version-1": _format_version_1,
+    "format-version-2": _format_version_2,
+    "ring-bases-not-list": lambda doc: doc.update(ring_bases=doc["ring_bases"][0]),
+    # 2^20 is no vertex of Q_8
+    "ring-bases-not-vertices": lambda doc: doc.update(ring_bases=[1 << 20]),
     "construction-without-m": lambda doc: doc.update(construction={"k": 3}),
     "n-past-mask-width": lambda doc: doc.update(n=40),
     "construction-k-2": lambda doc: doc.update(construction={"k": 2, "m": 0}),

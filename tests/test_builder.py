@@ -11,6 +11,7 @@ from minvenn.builder import (
     coefficient_order,
     partition_preview_graph,
 )
+from minvenn.export import _layout_geometry
 from minvenn.hypercube import mask_of
 from minvenn.plane_graph import Face, crossing_count, trace_faces
 
@@ -67,7 +68,8 @@ def test_outer_face_is_outermost_ring(dual8):
     outer = trace_faces(g)[g.outer_face_index()]
     assert len(outer) == 16
     assert 0 in outer.vertices and 255 in outer.vertices
-    assert {g.layout[v][0] for v in outer.vertices} == {1}
+    layout = _layout_geometry(g)[0]
+    assert {layout[v][0] for v in outer.vertices} == {1}
 
 
 def test_rotation_orders_are_small_and_consistent(dual8):
@@ -122,16 +124,18 @@ def test_build_guards():
 
 
 def test_layout_covers_all_vertices(dual8):
-    g, _ = dual8
-    assert set(g.layout) == set(g.rotation)
-    rings = {ring for ring, _pos in g.layout.values()}
+    g, trace = dual8
+    assert g.ring_bases == trace.ring_bases
+    layout = _layout_geometry(g)[0]
+    assert set(layout) == set(g.rotation)
+    rings = {ring for ring, _pos in layout.values()}
     assert rings == set(range(1, 17))
 
 
 def test_partition_preview_graph():
     g = partition_preview_graph(2)
     assert g.vertex_count == 16
-    assert {ring for ring, _ in g.layout.values()} == {1, 2}
+    assert {ring for ring, _ in _layout_geometry(g)[0].values()} == {1, 2}
     assert all(len(nbrs) == 2 for nbrs in g.rotation.values())
 
 

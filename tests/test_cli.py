@@ -191,7 +191,7 @@ def test_verify_rejects_repeated_vertex_key(tmp_path, doc8_text):
 # DOC8 stands for the path of the n = 8 document.
 DOC8 = "<venn8.json>"
 PINNED_OUTPUTS = [
-    (["build", "--n", "8"], "e4f0c22af1207d89508bf53dc65deaf11cabd96e3d5a856ef75e161baf2b7cc6"),
+    (["build", "--n", "8"], "650d4dd77c41fac6e090f88e2afe8916608f17b4c823a0b648a53f4a53ebaa28"),
     (
         ["build", "--n", "8", "--format", "dot"],
         "bd0de48d9038259cd1c1d0ebe759e8627be5dc4103e5dcad1bc198abe43b99f8",

@@ -1,5 +1,11 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import minvenn
 from minvenn.builder import BuildError
 from minvenn.doubling import DoublingError, build_venn, double, find_colorful_face
 from minvenn.plane_graph import PlaneDualGraph, crossing_count, trace_faces
@@ -69,7 +75,7 @@ def test_double_through_non_outer_colorful_face(dual8):
         rotation=g.rotation,
         outer_edge=(short.vertices[0], short.vertices[1]),
         construction=g.construction,
-        layout=g.layout,
+        ring_bases=g.ring_bases,
     )
     cf = find_colorful_face(rerooted)
     assert cf is not None
@@ -113,3 +119,39 @@ def test_build_venn_guards():
     with pytest.raises(BuildError):
         build_venn(17)
     build_venn(8)  # lower edge of the valid range
+
+
+# Run in a fresh process: a face trace that loops must fail the test, not hang the suite.
+REPEATED_NEIGHBOR = """
+from minvenn.builder import build_venn_dual
+from minvenn.doubling import double
+from minvenn.plane_graph import InconsistentRotation, PlaneDualGraph, crossing_count, trace_faces
+
+g = build_venn_dual(3)[0]
+assert g.rotation[0] == [1, 4, 128]
+for call in (trace_faces, crossing_count, double):
+    rotation = dict(g.rotation)
+    rotation[0] = [1, 4, 1, 128]
+    bad = PlaneDualGraph(g.n, rotation, g.outer_edge, g.construction)
+    try:
+        call(bad)
+    except InconsistentRotation as exc:
+        print(call.__name__, exc)
+"""
+
+
+def test_neighbor_listed_twice_raises():
+    src = str(Path(minvenn.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-c", REPEATED_NEIGHBOR],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": src},
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert [line.split()[0] for line in proc.stdout.splitlines()] == [
+        "trace_faces",
+        "crossing_count",
+        "double",
+    ]

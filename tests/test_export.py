@@ -7,6 +7,8 @@ import xml.etree.ElementTree as ET
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import minvenn
 from minvenn.bases import ring_prefixes
@@ -42,9 +44,18 @@ def test_round_trip_base_build(dual8):
     assert doc["construction"] == {"k": 3, "m": 0}
     g2 = from_json(doc)
     assert g2 == g
+    # the face cache takes no part in equality: g is traced, the copy is not
+    assert PlaneDualGraph(g.n, g.rotation, g.outer_edge, g.construction, g.ring_bases) == g
     assert to_json(g2) == to_json(g)
     # serialized text is stable too
     assert dump_json(to_json(g)) == dump_json(to_json(g2))
+
+
+def test_round_trip_n16_document_is_small(dual16):
+    g, _ = dual16
+    text = dump_json(to_json(g))
+    assert len(text) <= 1_500_000  # 2^d ring bases, not a [ring, position] per vertex
+    assert from_json(load_json(text)) == g
 
 
 def test_rebuild_produces_identical_document():
@@ -58,7 +69,7 @@ def test_rebuild_produces_identical_document():
 def test_round_trip_doubled(doubling_chain):
     doc = to_json(doubling_chain[9])
     assert doc["crossings"] == 80
-    assert doc["layout_hint"] is None
+    assert doc["ring_bases"] is None
     for n in range(9, 16):
         g = doubling_chain[n]
         assert from_json(to_json(g)) == g
@@ -82,13 +93,13 @@ def test_sparse_document_with_large_n_stays_small(tmp_path, capsys):
     high = 0x7FFFFFFF
     top = high | 1 << 31
     doc = {
-        "format_version": 2,
+        "format_version": 3,
         "n": 32,
         "construction": None,
         "rotation": {"0": [1], "1": [0], str(high): [top], str(top): [high]},
         "outer_edge": [0, 1],
         "crossings": 2,
-        "layout_hint": None,
+        "ring_bases": None,
     }
     target = tmp_path / "sparse32.json"
     target.write_text(dump_json(doc))
@@ -124,6 +135,48 @@ def test_from_json_rejects_tampered_faces(dual8):
 def test_from_json_rejects_malformed_document(malformed_doc):
     with pytest.raises(DocumentError):
         from_json(malformed_doc)
+
+
+def _paths(value, path):
+    """The path to value and to everything inside it, as tuples of keys and indices."""
+    yield path
+    if isinstance(value, (dict, list)):
+        for key, child in value.items() if isinstance(value, dict) else enumerate(value):
+            yield from _paths(child, path + (key,))
+
+
+RETYPED = (None, True, 1.5, "7", [], {}, [[0]])
+OUT_OF_RANGE = (-1, 0, 33, 1 << 8, 1 << 20, 1 << 32, 1 << 64)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(data=st.data())
+def test_from_json_fuzz_raises_only_value_error(doc8_text, data):
+    # One to three edits, each at a top-level key or somewhere inside one:
+    # delete it, retype it, truncate a list, or push an int out of range.
+    doc = json.loads(doc8_text)
+    for _ in range(data.draw(st.integers(1, 3), label="edits")):
+        if not doc:
+            break
+        key = data.draw(st.sampled_from(sorted(doc)), label="key")
+        *head, last = data.draw(st.sampled_from(list(_paths(doc[key], (key,)))), label="path")
+        parent = doc
+        for step in head:
+            parent = parent[step]
+        value = parent[last]
+        op = data.draw(st.sampled_from(("delete", "retype", "truncate", "out-of-range")))
+        if op == "delete":
+            del parent[last]
+        elif op == "retype":
+            parent[last] = data.draw(st.sampled_from(RETYPED))
+        elif op == "truncate" and isinstance(value, list):
+            del value[data.draw(st.integers(0, len(value))) :]
+        elif op == "out-of-range" and type(value) is int:
+            parent[last] = data.draw(st.sampled_from(OUT_OF_RANGE))
+    try:
+        from_json(doc)
+    except ValueError:
+        pass
 
 
 def test_load_json_rejects_repeated_keys(doc8_text):

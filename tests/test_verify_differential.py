@@ -3,10 +3,12 @@
 `verify_oracle` keeps the checks the verifier used before they were rebuilt
 on one component walk and one face sweep.  Both must give equal results,
 witnesses included, on every build n = 8..16 and on fixed mutations of the
-n = 8 and n = 9 graphs.
+n = 8 and n = 9 graphs.  The mutations also pin which checks catch each kind
+of defect.
 """
 
 import re
+from collections import Counter
 
 import pytest
 
@@ -15,7 +17,29 @@ from minvenn import verify
 from minvenn.plane_graph import PlaneDualGraph
 from minvenn.verify import CheckResult
 
-MUTATIONS = ("swap-first-two", "reverse-rotation", "delete-edge", "drop-vertex")
+MUTATIONS = (
+    "swap-first-two",
+    "reverse-rotation",
+    "delete-edge",
+    "drop-vertex",
+    "add-edge",
+    "non-hypercube-edge",
+)
+
+# Which checks fail, as a tuple in report order, and on how many of the 128
+# mutants of each kind.  An empty tuple is a mutant that is still the same
+# diagram: swapping or reversing the rotation of a degree-2 vertex changes
+# nothing.  An added edge that splits a face cleanly adds one crossing, and
+# only the formula check sees it.
+CURVES = ("faces-direction-pairs", "curves-simple", "crossings-match-formula")
+SOUNDNESS_MAP = {
+    "swap-first-two": {("euler", *CURVES): 36, (): 92},
+    "reverse-rotation": {("euler", *CURVES): 36, (): 92},
+    "delete-edge": {CURVES: 128},
+    "drop-vertex": {("spanning", *CURVES): 126, ("spanning", "crossings-match-formula"): 2},
+    "add-edge": {("euler", *CURVES): 124, ("crossings-match-formula",): 4},
+    "non-hypercube-edge": {("rotation-consistent",): 128},
+}
 
 
 def oracle_report(g: PlaneDualGraph) -> dict:
@@ -38,10 +62,21 @@ def assert_agrees(g: PlaneDualGraph) -> dict[str, CheckResult]:
 
 
 def mutate(g: PlaneDualGraph, v: int, kind: str) -> PlaneDualGraph:
-    """A copy of g with one local defect at vertex v; the rotation stays consistent."""
+    """A copy of g with one local defect at vertex v.
+
+    Every kind but non-hypercube-edge keeps the rotation consistent.  The two
+    edge insertions put the new neighbor at index 1 on both sides.
+    """
     rotation = {u: list(nbrs) for u, nbrs in g.rotation.items()}
     nbrs = rotation[v]
-    if kind == "swap-first-two":
+    if kind in ("add-edge", "non-hypercube-edge"):
+        if kind == "add-edge":
+            w = min(v ^ 1 << i for i in range(g.n) if v ^ 1 << i not in nbrs)
+        else:
+            w = v ^ 3
+        nbrs.insert(1, w)
+        rotation[w].insert(1, v)
+    elif kind == "swap-first-two":
         nbrs[0], nbrs[1] = nbrs[1], nbrs[0]
     elif kind == "reverse-rotation":
         nbrs.reverse()
@@ -73,20 +108,26 @@ def test_build_agrees_with_oracle(builds, n):
 
 def test_mutations_agree_with_oracle(dual8, doubling_chain):
     witnesses = set()
-    count = 0
+    caught = {kind: Counter() for kind in MUTATIONS}
     for g in (dual8[0], doubling_chain[9]):
         for v in sorted(g.rotation)[:64]:
             for kind in MUTATIONS:
                 mutant = mutate(g, v, kind)
                 checks = assert_agrees(mutant)
+                failed = tuple(name for name, c in checks.items() if not c.passed)
+                assert all(checks[name].witness for name in failed)
+                caught[kind][failed] += 1
+                if "curves-simple" not in checks:
+                    continue
                 buckets = verify.face_edges_by_direction(mutant)
                 for j in range(1, g.n + 1):
                     assert verify.face_cycle(buckets[j], j) == oracle.face_cycle(mutant, j)
                 witness = checks["curves-simple"].witness
                 if witness:
                     witnesses.add(re.sub(r"\d+", "#", witness))
-                count += 1
-    assert count == 512
+    assert sum(sum(c.values()) for c in caught.values()) == 768
+    for kind, want in SOUNDNESS_MAP.items():
+        assert dict(caught[kind]) == want, kind
     assert {
         "direction #: inside splits into # components",
         "direction #: outside splits into # components",
