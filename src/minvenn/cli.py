@@ -8,6 +8,7 @@ stderr.  Exit codes: 0 success, 1 verification failure, 2 usage error.
 from __future__ import annotations
 
 import argparse
+import gc
 import sys
 
 from .bases import partition_cycles
@@ -58,7 +59,7 @@ def _cmd_build(args, parser) -> int:
             if args.format == "svg-dual":
                 text = render_dual_svg(g)
             else:
-                text = render_primal_svg(g)
+                text = render_primal_svg(g, report=report)
         except RenderError as exc:
             parser.error(str(exc))
     _emit(text, args.out)
@@ -211,6 +212,9 @@ def main(argv=None) -> int:
 
 
 def run() -> None:
+    # One short process: the library makes no reference cycles, so the
+    # collector would only rescan the graph's containers again and again.
+    gc.disable()
     sys.exit(main())
 
 

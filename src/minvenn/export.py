@@ -195,6 +195,8 @@ def _layout_geometry(g: PlaneDualGraph):
         raise RenderError("no concentric layout")
     prefixes = ring_prefixes(g.n)
     layout = {b ^ m: (r, p) for r, b in enumerate(g.ring_bases, 1) for p, m in enumerate(prefixes)}
+    if layout.keys() != g.rotation.keys():
+        raise RenderError("ring_bases do not cover the rotation")
     num_rings = len(g.ring_bases)
     gap = max(3.0, 360.0 / num_rings)
     r_inner = 26.0
@@ -245,10 +247,15 @@ def _curve_color(j: int, n: int) -> str:
     return f"hsl({hue},70%,42%)"
 
 
-def render_primal_svg(g: PlaneDualGraph) -> str:
-    """Schematic primal diagram: one bubble per crossing, one polyline per curve."""
+def render_primal_svg(g: PlaneDualGraph, report=None) -> str:
+    """Schematic primal diagram: one bubble per crossing, one polyline per curve.
+
+    report is g's verification report if the caller already has one;
+    without it the graph is verified here.
+    """
     layout, position, center, r_outer, num_rings = _layout_geometry(g)
-    report = verify_graph(g)
+    if report is None:
+        report = verify_graph(g)
     if not report.passed:
         raise RenderError("graph failed verification; refusing to draw curves")
 

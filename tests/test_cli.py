@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import json
 import os
@@ -8,7 +9,11 @@ from pathlib import Path
 import pytest
 
 import minvenn
+from minvenn import cli, export
 from minvenn.cli import main
+from minvenn.doubling import build_venn
+from minvenn.export import dump_json, from_json, load_json, to_json
+from minvenn.verify import verify_graph
 
 
 def run(capsys, argv):
@@ -59,6 +64,20 @@ def test_build_dot_and_svg(capsys):
     assert code == 0 and "<svg" in out
     code, out, _ = run(capsys, ["build", "--n", "8", "--format", "svg-primal"])
     assert code == 0 and "<svg" in out
+
+
+def test_build_svg_primal_verifies_once(capsys, monkeypatch):
+    calls = []
+
+    def counted(g):
+        calls.append(g.n)
+        return verify_graph(g)
+
+    monkeypatch.setattr(cli, "verify_graph", counted)
+    monkeypatch.setattr(export, "verify_graph", counted)
+    code, out, _ = run(capsys, ["build", "--n", "8", "--format", "svg-primal"])
+    assert code == 0 and "<svg" in out
+    assert calls == [8]
 
 
 def test_build_svg_needs_concentric_layout(capsys):
@@ -234,3 +253,29 @@ def test_output_is_byte_identical(capsys, tmp_path, doc8_text, argv, digest):
     code, out, _err = run(capsys, [str(doc8) if a == DOC8 else a for a in argv])
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_run_turns_the_collector_off(monkeypatch):
+    monkeypatch.setattr(cli, "main", lambda: 0 if not gc.isenabled() else 1)
+    try:
+        with pytest.raises(SystemExit) as exc:
+            cli.run()
+    finally:
+        gc.enable()
+    assert exc.value.code == 0
+
+
+def test_library_pipeline_leaves_no_cyclic_garbage():
+    # run() can turn the collector off only while the library makes no
+    # reference cycles: nothing would ever free them.
+    gc.disable()
+    try:
+        gc.collect()
+        for n in (8, 9, 12, 13):
+            g = build_venn(n)
+            report = verify_graph(g)
+            copy = from_json(load_json(dump_json(to_json(g, report=report))))
+            assert verify_graph(copy).passed
+        assert gc.collect() == 0
+    finally:
+        gc.enable()

@@ -239,6 +239,15 @@ def test_render_dual_requires_layout(doubling_chain):
         render_dual_svg(doubling_chain[9])
 
 
+def test_render_refuses_ring_bases_that_miss_the_rotation(doc8_text):
+    doc = json.loads(doc8_text)
+    doc["ring_bases"] = [0]
+    g = from_json(doc)
+    for render in (render_dual_svg, render_primal_svg):
+        with pytest.raises(RenderError, match="ring_bases do not cover the rotation"):
+            render(g)
+
+
 def test_render_primal_svg(dual8):
     g, _ = dual8
     svg = render_primal_svg(g)

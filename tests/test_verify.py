@@ -2,6 +2,8 @@ from fractions import Fraction
 
 import pytest
 
+import verify_oracle as oracle
+from minvenn import verify
 from minvenn.builder import partition_preview_graph
 from minvenn.plane_graph import PlaneDualGraph, trace_faces
 from minvenn.verify import (
@@ -19,6 +21,7 @@ from minvenn.verify import (
     monotone_reference,
     verify_graph,
 )
+from test_verify_differential import mutate
 
 LOWER_BOUNDS = {
     2: 2, 3: 3, 4: 5, 5: 8, 6: 13, 7: 21, 8: 37,
@@ -146,3 +149,58 @@ def test_doubled_graph_verifies(doubling_chain):
     report = verify_graph(doubling_chain[9])
     assert report.passed
     assert report.crossings == 80
+
+
+@pytest.fixture
+def walks(monkeypatch):
+    """The skip bit of every _component_roots walk the verifier starts."""
+    bits = []
+    walk = verify._component_roots
+
+    def counted(rotation, skip_bit):
+        bits.append(skip_bit)
+        return walk(rotation, skip_bit)
+
+    monkeypatch.setattr(verify, "_component_roots", counted)
+    return bits
+
+
+@pytest.mark.parametrize("n", range(8, 17))
+def test_curves_on_a_sphere_take_one_walk(dual16, doubling_chain, walks, n):
+    g = dual16[0] if n == 16 else doubling_chain[n]
+    assert check_curves(g).passed
+    assert walks == [0]
+
+
+def test_curves_off_the_sphere_walk_each_direction(dual8, walks):
+    # Disjoint rings fail connectivity, so direction 1 is walked; its inside
+    # splits before its face cycle is looked at.
+    rings = partition_preview_graph(2)
+    witness = check_curves(rings)
+    assert walks == [0, 1]
+    assert witness == oracle.check_curves(rings)
+    assert witness.witness == "direction 1: inside splits into 2 components"
+    # An added edge breaks Euler's formula, so every direction is walked up
+    # to the one whose face cycle fails, direction 1 included.
+    extra = mutate(dual8[0], 31, "add-edge")
+    assert not check_euler(extra).passed
+    walks.clear()
+    witness = check_curves(extra)
+    assert walks == [0, 1, 2]
+    assert witness == oracle.check_curves(extra)
+    assert witness.witness == "face 3 carries 4 edges of direction 2"
+
+
+def test_curves_walk_only_where_a_face_cycle_fails(dual8, walks):
+    # A deleted edge leaves a connected sphere, so the one walk that follows
+    # the shared one is for the direction whose face cycle fails.  That walk
+    # finds a split side, and its witness wins over the face cycle's.
+    cut = mutate(dual8[0], 0, "delete-edge")
+    assert check_connected(cut).passed and check_euler(cut).passed
+    walks.clear()
+    witness = check_curves(cut)
+    assert walks == [0, 2]
+    assert witness == oracle.check_curves(cut)
+    assert witness.witness == "direction 2: outside splits into 2 components"
+    problem = face_cycle(face_edges_by_direction(cut)[2], 2)[1]
+    assert problem == "face 0 carries 4 edges of direction 2"
