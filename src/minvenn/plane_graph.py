@@ -6,15 +6,15 @@ embedding: if the traced face count satisfies Euler's formula on a connected
 graph, the rotation describes a sphere embedding.  The trace walks the
 rotation lists themselves, one pass per face, and stops at the first edge
 it has already traced, so a malformed rotation cannot make it loop.  Graphs
-are treated as immutable once built; the face list is computed on first use
-and cached.
+are treated as immutable once built; on first use the trace keeps the face
+list and the index of the outer face, nothing per edge.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .hypercube import edge_direction
+from .hypercube import MAX_DIMENSION, edge_direction
 
 
 class InconsistentRotation(ValueError):
@@ -37,7 +37,8 @@ class PlaneDualGraph:
     """A plane spanning subgraph of Q_n, the dual of a Venn diagram.
 
     rotation maps each vertex bitmask to the cyclic list of its neighbors.
-    outer_edge is a directed edge whose traced face is the outer face.
+    outer_edge is a directed edge whose traced face is the outer face; the
+    trace caches the faces and that face's index, nothing per edge.
     construction records (k, m) for graphs built here: a power-of-two base
     build with k levels, doubled m times.  ring_bases lists the base vertex
     of each concentric ring, outermost first, for concentric builds (ring
@@ -50,9 +51,7 @@ class PlaneDualGraph:
     construction: tuple[int, int] | None = None
     ring_bases: tuple[int, ...] | None = None
     _faces: list[Face] | None = field(default=None, init=False, repr=False, compare=False)
-    _edge_face: dict[tuple[int, int], int] | None = field(
-        default=None, init=False, repr=False, compare=False
-    )
+    _outer_face: int | None = field(default=None, init=False, repr=False, compare=False)
 
     def vertices(self) -> list[int]:
         return sorted(self.rotation)
@@ -63,49 +62,46 @@ class PlaneDualGraph:
 
     def edges(self) -> list[tuple[int, int, int]]:
         """Undirected edges as sorted (u, v, direction) triples with u < v."""
-        out = []
-        for u, nbrs in self.rotation.items():
-            for v in nbrs:
-                if u < v:
-                    out.append((u, v, edge_direction(u, v)))
-        out.sort()
-        return out
+        return sorted(
+            (u, v, edge_direction(u, v)) for u, nbrs in self.rotation.items() for v in nbrs if u < v
+        )
 
     @property
     def edge_count(self) -> int:
         return sum(len(nbrs) for nbrs in self.rotation.values()) // 2
 
-    def edge_face_map(self) -> dict[tuple[int, int], int]:
-        trace_faces(self)
-        assert self._edge_face is not None
-        return self._edge_face
-
     def outer_face_index(self) -> int:
-        return self.edge_face_map()[self.outer_edge]
+        trace_faces(self)
+        if self._outer_face is None:
+            u, v = self.outer_edge
+            raise InconsistentRotation(f"outer_edge ({u:#x}, {v:#x}) is not in the rotation")
+        return self._outer_face
 
 
 def trace_faces(g: PlaneDualGraph) -> list[Face]:
     """All faces of the embedding; each directed edge is used exactly once."""
-    if g._faces is None:
-        faces, edge_face = _trace(g.rotation)
-        g._faces = faces
-        g._edge_face = edge_face
-    return g._faces
-
-
-def _trace(rotation: dict[int, list[int]]) -> tuple[list[Face], dict[tuple[int, int], int]]:
+    if g._faces is not None:
+        return g._faces
+    rotation = g.rotation
+    if rotation and (min(rotation) < 0 or max(rotation) >> MAX_DIMENSION):
+        raise InconsistentRotation(f"vertex masks must lie in [0, 2^{MAX_DIMENSION})")
+    # Edge (a, b) is traced once a << 5 | (direction - 1) is in the set, one to one
+    # under that bound.  An outer edge not in the rotation gets no key: it would alias another.
     faces: list[Face] = []
-    edge_face: dict[tuple[int, int], int] = {}
+    traced: set[int] = set()
+    ou, ov = g.outer_edge
+    outer_key = ou << 5 | ((ou ^ ov).bit_length() - 1) if ov in rotation.get(ou, ()) else -1
+    outer = None
     for u in sorted(rotation):
         for v in rotation[u]:
-            if (u, v) in edge_face:
+            a, b, d = u, v, edge_direction(u, v)
+            if a << 5 | (d - 1) in traced:
                 continue
             walk, flips = [], []
-            a, b = u, v
-            while (a, b) not in edge_face:
-                edge_face[(a, b)] = len(faces)
+            while (key := a << 5 | (d - 1)) not in traced:
+                traced.add(key)
                 walk.append(a)
-                flips.append(edge_direction(a, b))
+                flips.append(d)
                 try:
                     nbrs = rotation[b]
                     a, b = b, nbrs[nbrs.index(a) + 1 - len(nbrs)]
@@ -113,12 +109,16 @@ def _trace(rotation: dict[int, list[int]]) -> tuple[list[Face], dict[tuple[int, 
                     raise InconsistentRotation(
                         f"edge ({a:#x}, {b:#x}) missing from the rotation at {b:#x}"
                     ) from None
+                d = edge_direction(a, b)
             if (a, b) != (u, v):
                 raise InconsistentRotation(
                     f"face walk from ({u:#x}, {v:#x}) runs into the traced edge ({a:#x}, {b:#x})"
                 )
+            if outer is None and outer_key in traced:
+                outer = len(faces)
             faces.append(Face(tuple(walk), tuple(flips)))
-    return faces, edge_face
+    g._faces, g._outer_face = faces, outer
+    return faces
 
 
 def crossing_count(g: PlaneDualGraph) -> int:

