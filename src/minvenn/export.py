@@ -16,6 +16,7 @@ of its edges, topologically faithful but geometrically approximate.
 from __future__ import annotations
 
 import json
+from itertools import chain
 from math import atan2, cos, hypot, pi, sin
 
 from .bases import ring_prefixes
@@ -98,8 +99,8 @@ def _require(ok: bool, problem: str) -> None:
 
 
 def _int_lists(values) -> bool:
-    """Whether every value is a list of ints."""
-    return all(type(v) is list for v in values) and all(type(x) is int for v in values for x in v)
+    """Whether every value is a list of ints (a bool is no int here)."""
+    return set(map(type, values)) <= {list} and set(map(type, chain.from_iterable(values))) <= {int}
 
 
 def _vertex_table(table, field: str, what: str) -> dict:
@@ -165,6 +166,7 @@ def from_json(doc: dict) -> PlaneDualGraph:
         construction=construction,
         ring_bases=None if bases is None else tuple(bases),
     )
+    g._rotation_checked = (rotation, n)
     crossings, faces = doc.get("crossings"), len(trace_faces(g))
     _require(
         type(crossings) is int and crossings == faces,

@@ -5,14 +5,17 @@ edges.  Tracing faces with the standard next-edge rule certifies the
 embedding: if the traced face count satisfies Euler's formula on a connected
 graph, the rotation describes a sphere embedding.  The trace walks the
 rotation lists themselves, one pass per face, and stops at the first edge
-it has already traced, so a malformed rotation cannot make it loop.  Graphs
-are treated as immutable once built; on first use the trace keeps the face
-list and the index of the outer face, nothing per edge.
+it has already traced, so a malformed rotation cannot make it loop.  It
+marks every rotation entry it walks, so each entry is walked and tested as
+a hypercube edge exactly once.  Graphs are treated as immutable once built;
+on first use the trace keeps the face list and the index of the outer face,
+nothing per edge.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import xor
 
 from .hypercube import MAX_DIMENSION, edge_direction
 
@@ -39,6 +42,8 @@ class PlaneDualGraph:
     rotation maps each vertex bitmask to the cyclic list of its neighbors.
     outer_edge is a directed edge whose traced face is the outer face; the
     trace caches the faces and that face's index, nothing per edge.
+    from_json records the (rotation, n) it found consistent, so that
+    verify_graph does not check the same rotation again.
     construction records (k, m) for graphs built here: a power-of-two base
     build with k levels, doubled m times.  ring_bases lists the base vertex
     of each concentric ring, outermost first, for concentric builds (ring
@@ -52,6 +57,9 @@ class PlaneDualGraph:
     ring_bases: tuple[int, ...] | None = None
     _faces: list[Face] | None = field(default=None, init=False, repr=False, compare=False)
     _outer_face: int | None = field(default=None, init=False, repr=False, compare=False)
+    _rotation_checked: tuple[dict[int, list[int]], int] | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     def vertices(self) -> list[int]:
         return sorted(self.rotation)
@@ -68,7 +76,7 @@ class PlaneDualGraph:
 
     @property
     def edge_count(self) -> int:
-        return sum(len(nbrs) for nbrs in self.rotation.values()) // 2
+        return sum(map(len, self.rotation.values())) // 2
 
     def outer_face_index(self) -> int:
         trace_faces(self)
@@ -85,38 +93,52 @@ def trace_faces(g: PlaneDualGraph) -> list[Face]:
     rotation = g.rotation
     if rotation and (min(rotation) < 0 or max(rotation) >> MAX_DIMENSION):
         raise InconsistentRotation(f"vertex masks must lie in [0, 2^{MAX_DIMENSION})")
-    # Edge (a, b) is traced once a << 5 | (direction - 1) is in the set, one to one
-    # under that bound.  An outer edge not in the rotation gets no key: it would alias another.
+    # Bit s of done[a] marks the edge from a to rotation[a][s] as traced.  A
+    # neighbor listed twice is then two edges into one next edge, so the walk
+    # over the second copy cannot close its face.
     faces: list[Face] = []
-    traced: set[int] = set()
+    done = dict.fromkeys(rotation, 0)
     ou, ov = g.outer_edge
-    outer_key = ou << 5 | ((ou ^ ov).bit_length() - 1) if ov in rotation.get(ou, ()) else -1
+    nbrs = rotation.get(ou, ())
+    outer_bit = 1 << nbrs.index(ov) if ov in nbrs else 0
     outer = None
     for u in sorted(rotation):
-        for v in rotation[u]:
-            a, b, d = u, v, edge_direction(u, v)
-            if a << 5 | (d - 1) in traced:
+        for i in range(len(rotation[u])):
+            if done[u] >> i & 1:
                 continue
-            walk, flips = [], []
-            while (key := a << 5 | (d - 1)) not in traced:
-                traced.add(key)
-                walk.append(a)
-                flips.append(d)
-                try:
+            a, s, walk, stuck = u, i, [], False
+            try:
+                while not (mask := done[a]) >> s & 1:
+                    done[a] = mask | 1 << s
+                    walk.append(a)
+                    b = rotation[a][s]
                     nbrs = rotation[b]
-                    a, b = b, nbrs[nbrs.index(a) + 1 - len(nbrs)]
-                except (KeyError, ValueError):
-                    raise InconsistentRotation(
-                        f"edge ({a:#x}, {b:#x}) missing from the rotation at {b:#x}"
-                    ) from None
-                d = edge_direction(a, b)
-            if (a, b) != (u, v):
+                    s = nbrs.index(a) + 1
+                    if s == len(nbrs):
+                        s = 0
+                    a = b
+            except (KeyError, ValueError):
+                stuck = True
+            # Step t runs from walk[t] to ends[t]; a stuck walk ends on (a, b).
+            # Each step's direction is read off here, once per face, in the
+            # same pass that tests every step as a hypercube edge.
+            ends = walk[1:]
+            ends.append(b if stuck else a)
+            diffs = list(map(xor, walk, ends))
+            if stuck or set(map(int.bit_count, diffs)) != {1}:
+                list(map(edge_direction, walk, ends))  # raises at the first step off Q_n
+            if stuck:
                 raise InconsistentRotation(
-                    f"face walk from ({u:#x}, {v:#x}) runs into the traced edge ({a:#x}, {b:#x})"
+                    f"edge ({a:#x}, {b:#x}) missing from the rotation at {b:#x}"
                 )
-            if outer is None and outer_key in traced:
+            if (a, s) != (u, i):
+                raise InconsistentRotation(
+                    f"face walk from ({u:#x}, {rotation[u][i]:#x}) runs into the traced "
+                    f"edge ({a:#x}, {rotation[a][s]:#x})"
+                )
+            if outer is None and done.get(ou, 0) & outer_bit:
                 outer = len(faces)
-            faces.append(Face(tuple(walk), tuple(flips)))
+            faces.append(Face(tuple(walk), tuple(map(int.bit_length, diffs))))
     g._faces, g._outer_face = faces, outer
     return faces
 

@@ -167,8 +167,9 @@ def _component_roots(rotation: dict[int, list[int]], skip_bit: int) -> list[int]
     return roots
 
 
-def check_connected(g: PlaneDualGraph) -> CheckResult:
-    count = len(_component_roots(g.rotation, 0))
+def check_connected(g: PlaneDualGraph, components: int | None = None) -> CheckResult:
+    """G is one component; components is their number if the caller has counted them."""
+    count = len(_component_roots(g.rotation, 0)) if components is None else components
     if count == 1:
         return CheckResult("connected", True)
     return CheckResult("connected", False, f"{count} components")
@@ -274,7 +275,7 @@ def face_cycle(bucket: list[int], j: int):
     return cycle, None
 
 
-def check_curves(g: PlaneDualGraph) -> CheckResult:
+def check_curves(g: PlaneDualGraph, components: int | None = None) -> CheckResult:
     """Inside and outside of every curve connected; each curve one closed cycle.
 
     Every edge of a direction other than j keeps bit j, so each component
@@ -290,12 +291,17 @@ def check_curves(g: PlaneDualGraph) -> CheckResult:
     direction-j edges join across bit j: one inside and one outside.  The
     per-direction walk runs only where that argument does not apply, and
     its witness comes first, as it would without the shortcut.
+
+    components is the number of components of G if the caller has counted
+    them; otherwise the whole-graph walk is made here.
     """
     rotation = g.rotation
     faces = trace_faces(g)
     edges = g.edge_count
+    if components is None:
+        components = len(_component_roots(rotation, 0))
     sphere = (
-        len(_component_roots(rotation, 0)) == 1
+        components == 1
         and g.vertex_count - edges + len(faces) == 2
         and sum(map(len, faces)) == 2 * edges
     )
@@ -327,7 +333,9 @@ def verify_graph(g: PlaneDualGraph) -> VerificationReport:
     if g.construction is not None:
         expected = expected_crossings(*g.construction)
 
-    problems = rotation_problems(g.rotation, n)
+    # from_json has checked the rotation it loaded; any other graph, or a loaded
+    # one given another rotation or n since, is checked here.
+    problems = [] if g._rotation_checked == (g.rotation, n) else rotation_problems(g.rotation, n)
     if problems:
         return VerificationReport(
             n=n,
@@ -341,14 +349,15 @@ def verify_graph(g: PlaneDualGraph) -> VerificationReport:
 
     faces = trace_faces(g)
     histogram = dict(Counter(len(f) for f in faces))
+    components = len(_component_roots(g.rotation, 0))  # one walk for both checks that count them
     checks = [
         CheckResult("rotation-consistent", True),
         check_spanning(g),
-        check_connected(g),
+        check_connected(g, components),
         check_euler(g),
         check_edge_conservation(g),
         check_faces(g),
-        check_curves(g),
+        check_curves(g, components),
     ]
     crossings = len(faces)
     checks.append(

@@ -73,6 +73,8 @@ def _format_version_2(doc):
 # a huge n would make any unbounded code path allocate 2^n.
 MALFORMED_DOCS = {
     "rotation-list": lambda doc: doc.update(rotation=list(doc["rotation"].values())),
+    # True stands for neighbor 1 of vertex 0, and would pass every later check
+    "rotation-bool": lambda doc: doc["rotation"]["0"].__setitem__(0, True),
     # "01" names vertex 1 a second time
     "rotation-duplicate-key": lambda doc: doc["rotation"].update({"01": doc["rotation"]["1"]}),
     "outer-edge-one-vertex": lambda doc: doc.update(outer_edge=doc["outer_edge"][:1]),

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import minvenn
-from minvenn import cli, export
+from minvenn import cli, export, plane_graph, verify
 from minvenn.cli import main
 from minvenn.doubling import build_venn
 from minvenn.export import dump_json, from_json, load_json, to_json
@@ -171,6 +171,33 @@ def test_verify_failing_document(tmp_path, capsys):
     code, _out, err = run(capsys, ["verify", str(target)])
     assert code == 1
     assert "verdict: FAIL" in err
+
+
+@pytest.mark.parametrize("n", [8, 16])
+def test_verify_computes_each_fact_once(tmp_path, capsys, monkeypatch, dual8, dual16, n):
+    # from_json checks the rotation and traces it; verify_graph reuses both
+    # and walks the whole graph once for connectivity and the curves.
+    target = tmp_path / f"venn{n}.json"
+    target.write_text(dump_json(to_json((dual8 if n == 8 else dual16)[0])))
+    calls = []
+
+    def count(module, name, label):
+        real = getattr(module, name)
+
+        def counted(*args):
+            calls.append(label(*args))
+            return real(*args)
+
+        monkeypatch.setattr(module, name, counted)
+
+    for module in (export, verify):
+        count(module, "rotation_problems", lambda rotation, n: "rotation_problems")
+    for module in (export, verify, plane_graph):
+        count(module, "trace_faces", lambda g: "cached" if g._faces is not None else "trace")
+    count(verify, "_component_roots", lambda rotation, skip_bit: f"walk {skip_bit}")
+    code, _out, err = run(capsys, ["verify", str(target)])
+    assert code == 0 and "verdict: PASS" in err
+    assert [c for c in calls if c != "cached"] == ["rotation_problems", "trace", "walk 0"]
 
 
 def assert_verify_exits_2(target):

@@ -100,8 +100,8 @@ def test_outer_edge_missing_from_the_rotation_raises(dual8):
 
 
 def test_trace_refuses_masks_past_the_dimension_cap():
-    # Edge keys a << 5 | (direction - 1) are one to one only below 2^32:
-    # (0, 2^32) would share its key with (1, 0).
+    # Masks live in a machine word; the trace refuses a vertex past it
+    # instead of tracing a graph no other stage would accept.
     far = 1 << 32
     g = PlaneDualGraph(33, {0: [1, far], 1: [0], far: [0]}, (0, 1))
     with pytest.raises(InconsistentRotation, match="vertex masks"):

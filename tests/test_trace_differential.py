@@ -1,0 +1,104 @@
+"""The face trace against the trace it replaced, kept in `trace_oracle`.
+
+Both must give the same faces, in the same order, and the same outer face
+on every build n = 8..17, and the same exception, type and message, on
+every mutant of the n = 8 and n = 9 builds that `mutate` makes.  A
+rotation that lists a neighbor twice is where the two part on purpose: the
+oracle keyed traced edges by their ends, so the repeat looked traced and
+could go unnoticed; the library's trace marks each rotation slot and
+always raises.
+"""
+
+import pytest
+
+import trace_oracle as oracle
+from minvenn.doubling import double
+from minvenn.plane_graph import InconsistentRotation, PlaneDualGraph, trace_faces
+from test_verify_differential import MUTATIONS, mutate
+
+
+def fresh(g: PlaneDualGraph) -> PlaneDualGraph:
+    return PlaneDualGraph(g.n, g.rotation, g.outer_edge, g.construction)
+
+
+def outcome(trace, g: PlaneDualGraph):
+    """(faces, outer face index), or the exception's type and message."""
+    try:
+        return trace(g)
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+def library(g: PlaneDualGraph):
+    faces = trace_faces(g)
+    return faces, g._outer_face
+
+
+@pytest.fixture(scope="module")
+def builds(dual16, doubling_chain):
+    return {**doubling_chain, 16: dual16[0], 17: double(dual16[0])}
+
+
+@pytest.mark.parametrize("n", range(8, 18))
+def test_build_traces_as_the_oracle(builds, n):
+    g = builds[n]
+    faces, outer = library(fresh(g))
+    assert (faces, outer) == oracle.trace_faces(g)
+    assert outer is not None and len(faces[outer]) == 2 * n
+
+
+def test_mutants_raise_as_the_oracle(dual8, doubling_chain):
+    kinds = set()
+    count = 0
+    for g in (dual8[0], doubling_chain[9]):
+        for v in sorted(g.rotation):
+            for kind in MUTATIONS:
+                mutant = mutate(g, v, kind)
+                got = outcome(library, mutant)
+                assert got == outcome(oracle.trace_faces, mutant), (kind, v)
+                kinds.add(got[0] if isinstance(got[0], type) else "faces")
+                count += 1
+    assert count == 5376
+    assert kinds == {"faces", ValueError}  # non-hypercube-edge fails in edge_direction
+
+
+def edit(g: PlaneDualGraph, v: int, kind: str) -> PlaneDualGraph:
+    """A copy of g whose rotation at v is broken in a way mutate never breaks it."""
+    rotation = {u: list(nbrs) for u, nbrs in g.rotation.items()}
+    nbrs = rotation[v]
+    if kind == "one-sided":
+        nbrs.pop(0)  # v's neighbor still lists v
+    elif kind == "self-loop":
+        nbrs.insert(1, v)
+    elif kind == "negative":
+        nbrs.insert(1, -1 - v)
+    elif kind == "past-the-cap":
+        nbrs.insert(1, v ^ 1 << 40)
+    else:
+        nbrs.append(nbrs[0])  # a neighbor listed twice, the copies cyclically adjacent
+    return PlaneDualGraph(g.n, rotation, g.outer_edge)
+
+
+@pytest.mark.parametrize("kind", ["one-sided", "self-loop", "negative"])
+def test_inconsistent_rotations_raise_as_the_oracle(dual8, kind):
+    g = dual8[0]
+    for v in sorted(g.rotation):
+        broken = edit(g, v, kind)
+        got = outcome(library, broken)
+        assert isinstance(got[0], type)
+        assert got == outcome(oracle.trace_faces, broken), v
+
+
+@pytest.mark.parametrize("kind", ["repeat", "past-the-cap"])
+def test_every_rotation_slot_is_walked(dual8, kind):
+    # Each slot is walked, so neither a repeated neighbor nor one past the
+    # mask bound can be skipped.  The oracle's edge keys let every one of
+    # these repeats through: its copy looked traced.
+    g = dual8[0]
+    passed = 0
+    for v in sorted(g.rotation):
+        broken = edit(g, v, kind)
+        with pytest.raises(InconsistentRotation):
+            trace_faces(broken)
+        passed += not isinstance(outcome(oracle.trace_faces, broken)[0], type)
+    assert passed == (len(g.rotation) if kind == "repeat" else 0)

@@ -1,3 +1,4 @@
+import dataclasses
 from fractions import Fraction
 
 import pytest
@@ -5,6 +6,7 @@ import pytest
 import verify_oracle as oracle
 from minvenn import verify
 from minvenn.builder import partition_preview_graph
+from minvenn.export import from_json, to_json
 from minvenn.plane_graph import PlaneDualGraph, trace_faces
 from minvenn.verify import (
     CheckResult,
@@ -204,3 +206,57 @@ def test_curves_walk_only_where_a_face_cycle_fails(dual8, walks):
     assert witness.witness == "direction 2: outside splits into 2 components"
     problem = face_cycle(face_edges_by_direction(cut)[2], 2)[1]
     assert problem == "face 0 carries 4 edges of direction 2"
+
+
+@pytest.fixture
+def rotation_checks(monkeypatch):
+    """The n of every rotation_problems call verify_graph makes."""
+    calls = []
+    check = verify.rotation_problems
+
+    def counted(rotation, n):
+        calls.append(n)
+        return check(rotation, n)
+
+    monkeypatch.setattr(verify, "rotation_problems", counted)
+    return calls
+
+
+def test_loaded_rotation_is_checked_once(dual8, doubling_chain, rotation_checks):
+    for built in (dual8[0], doubling_chain[9]):
+        rotation_checks.clear()
+        assert verify_graph(built).passed
+        assert rotation_checks == [built.n]
+        rotation_checks.clear()
+        assert verify_graph(from_json(to_json(built))).passed
+        assert rotation_checks == []
+
+
+def test_rotation_changed_after_loading_is_checked(dual8, rotation_checks):
+    doc = to_json(dual8[0])
+    bad = mutate(dual8[0], 0, "non-hypercube-edge").rotation
+    changed = from_json(doc)
+    changed.rotation = bad
+    copied = dataclasses.replace(from_json(doc), rotation=bad)
+    widened = from_json(doc)
+    widened.n = 9
+    mutated = mutate(from_json(doc), 5, "add-edge")
+    for g in (changed, copied, widened, mutated):
+        rotation_checks.clear()
+        assert not verify_graph(g).passed
+        assert rotation_checks == [g.n]
+    # The changed graph keeps the faces traced on loading, so only the
+    # rotation check stands between it and a stale PASS.
+    assert verify_graph(changed).checks == [
+        CheckResult("rotation-consistent", False, "(0x3, 0x0) is not a hypercube edge")
+    ]
+
+
+def test_verify_graph_walks_once(dual8, walks):
+    assert verify_graph(dual8[0]).passed
+    assert walks == [0]
+    walks.clear()
+    cut = mutate(dual8[0], 0, "delete-edge")
+    report = verify_graph(cut)
+    assert walks == [0, 2]
+    assert report.checks[6] == check_curves(cut)
