@@ -17,9 +17,9 @@ def main() -> None:
     out = pathlib.Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
 
-    g8, trace = build_venn_dual(3)
+    g8 = build_venn_dual(3)
     report = verify_graph(g8)
-    (out / "venn8.json").write_text(dump_json(to_json(g8, trace=trace, report=report)))
+    (out / "venn8.json").write_text(dump_json(to_json(g8, report=report)))
     (out / "venn8-dual.svg").write_text(render_dual_svg(g8))
     (out / "venn8-primal.svg").write_text(render_primal_svg(g8))
 

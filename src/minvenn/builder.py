@@ -16,7 +16,6 @@ closed catalog of flip-sequence templates; a mismatch aborts the build.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 from .bases import basis_C, cross_edges, ring_prefixes
@@ -31,32 +30,6 @@ class BuildError(ValueError):
 
 class FaceCatalogMismatch(BuildError):
     """A traced face does not match any expected flip-sequence template."""
-
-
-@dataclass(frozen=True)
-class BuildStep:
-    """Action taken between rings gap+1 and gap+2 (gap is 0-based)."""
-
-    gap: int
-    s: int
-    kind: str
-    added: tuple[tuple[int, int], ...]
-    removed: tuple[int, int] | None
-
-
-@dataclass(frozen=True)
-class BuildTrace:
-    """Everything needed to replay a build: coefficient order, ring order, steps."""
-
-    k: int
-    n: int
-    d: int
-    rho: int
-    tie_break: str
-    coefficients: tuple[tuple[int, int], ...]
-    sigma: tuple[int, ...]
-    ring_bases: tuple[int, ...]
-    steps: tuple[BuildStep, ...]
 
 
 def coefficient_order(k: int) -> tuple[tuple[int, int], ...]:
@@ -81,11 +54,11 @@ def build_venn_dual(
     tie_break: str = "earlier",
     cap: int = DEFAULT_CAP,
     apply_removals: bool = True,
-) -> tuple[PlaneDualGraph, BuildTrace]:
+) -> PlaneDualGraph:
     """Build the dual graph of an n-Venn diagram for n = 2^k, k >= 3.
 
     apply_removals=False stops after the cross edge insertion, yielding the
-    intermediate graph with nu + lam more faces.
+    intermediate graph with lam more faces, one per ring edge left in.
     """
     if k < 3:
         raise BuildError(f"need k >= 3, got {k}")
@@ -113,7 +86,6 @@ def build_venn_dual(
     cross_in: dict[int, int] = {}
     cross_out: dict[int, int] = {}
     removed: set[tuple[int, int]] = set()
-    steps: list[BuildStep] = []
     for t, s in enumerate(sigma):
         x = xs[t]
         if s <= rho:
@@ -123,15 +95,13 @@ def build_venn_dual(
             edges = cross_edges(x, a, a + 2, kind, n)
         else:
             a, b = coeffs[s - 1]
-            kind = "E"
-            edges = cross_edges(x, a, b, kind, n)
+            edges = cross_edges(x, a, b, "E", n)
         for u, v in edges:
             if u in cross_in or v in cross_out:
                 raise BuildError(f"cross edge endpoint collision at gap {t}")
             cross_in[u] = v
             cross_out[v] = u
 
-        removal = None
         if apply_removals and t >= 1:
             r_prev, r_cur = parts.run_index[t - 1], parts.run_index[t]
             if r_prev is not None and r_prev == r_cur:
@@ -139,22 +109,9 @@ def build_venn_dual(
                     a_rm = 2 * s - 1
                 else:
                     a_rm = 2 * s + 1
-                removal = _edge_key(x ^ ((1 << (a_rm - 1)) - 1), x ^ ((1 << a_rm) - 1))
-                removed.add(removal)
-        steps.append(BuildStep(gap=t, s=s, kind=kind, added=edges, removed=removal))
+                removed.add(_edge_key(x ^ ((1 << (a_rm - 1)) - 1), x ^ ((1 << a_rm) - 1)))
 
     g = _concentric_graph(xs, n, (k, 0), cross_in, cross_out, removed)
-    trace = BuildTrace(
-        k=k,
-        n=n,
-        d=d,
-        rho=rho,
-        tie_break=tie_break,
-        coefficients=coeffs,
-        sigma=sigma,
-        ring_bases=tuple(xs),
-        steps=tuple(steps),
-    )
     check_face_catalog(g)
     expected = 2 + 4 * (nrings - 1) - parts.covered
     if apply_removals:
@@ -162,7 +119,7 @@ def build_venn_dual(
     got = crossing_count(g)
     if got != expected:
         raise BuildError(f"traced {got} faces, run statistics demand {expected}")
-    return g, trace
+    return g
 
 
 def partition_preview_graph(k: int) -> PlaneDualGraph:

@@ -123,7 +123,7 @@ def build_venn(n_total: int, cap: int = DEFAULT_CAP) -> PlaneDualGraph:
         raise BuildError(f"n={n_total} exceeds the materialization cap {cap}")
     k = n_total.bit_length() - 1
     m = n_total - (1 << k)
-    g, _trace = build_venn_dual(k, cap=cap)
+    g = build_venn_dual(k, cap=cap)
     for _ in range(m):
         g = double(g)
     return g

@@ -36,8 +36,8 @@ class DocumentError(ValueError):
     """A JSON document is malformed or disagrees with its own rotation system."""
 
 
-def to_json(g: PlaneDualGraph, trace=None, report=None) -> dict:
-    """Format 3 document for the graph, optionally with build trace and report."""
+def to_json(g: PlaneDualGraph, report=None) -> dict:
+    """Format 3 document for the graph, optionally with its verification report."""
     doc = {
         "format_version": FORMAT_VERSION,
         "n": g.n,
@@ -49,27 +49,6 @@ def to_json(g: PlaneDualGraph, trace=None, report=None) -> dict:
         "crossings": len(trace_faces(g)),
         "ring_bases": None if g.ring_bases is None else list(g.ring_bases),
     }
-    if trace is not None:
-        doc["build_trace"] = {
-            "k": trace.k,
-            "n": trace.n,
-            "d": trace.d,
-            "rho": trace.rho,
-            "tie_break": trace.tie_break,
-            "coefficients": [list(c) for c in trace.coefficients],
-            "sigma": list(trace.sigma),
-            "ring_bases": list(trace.ring_bases),
-            "steps": [
-                {
-                    "gap": s.gap,
-                    "s": s.s,
-                    "kind": s.kind,
-                    "added": [list(e) for e in s.added],
-                    "removed": list(s.removed) if s.removed else None,
-                }
-                for s in trace.steps
-            ],
-        }
     if report is not None:
         doc["report"] = report.to_dict()
     return doc

@@ -162,9 +162,9 @@ def rotation_problems(rotation: dict[int, list[int]], n: int) -> list[str]:
                 problems.append(f"({u:#x}, {v:#x}) is not a hypercube edge")
             elif diff.bit_length() > n:
                 problems.append(f"edge ({u:#x}, {v:#x}) has direction above {n}")
-            if u not in rotation or v not in rotation.get(u, []):
+            if v not in rotation.get(u, ()):
                 problems.append(f"edge ({u:#x}, {v:#x}) missing its reverse entry")
-        if problems and len(problems) > 20:
+        if len(problems) > 20:
             problems.append("further problems suppressed")
             break
     return problems

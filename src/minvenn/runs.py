@@ -32,10 +32,6 @@ class Run:
     orientation: str
 
     @property
-    def length(self) -> int:
-        return self.element_count - 1
-
-    @property
     def stop_index(self) -> int:
         return self.start_index + self.element_count
 
@@ -44,7 +40,6 @@ class Run:
 class RunPartition:
     """A fixed rho-run partition with its run count nu and total length lam."""
 
-    rho: int
     runs: tuple[Run, ...]
     run_index: tuple[int | None, ...]
     nu: int
@@ -118,7 +113,7 @@ def run_partition(entries: tuple[int, ...], rho: int, tie_break: str = "earlier"
             index[p] = rid
     nu = len(runs)
     lam = sum(r.element_count - 1 for r in runs)
-    return RunPartition(rho=rho, runs=runs, run_index=tuple(index), nu=nu, lam=lam)
+    return RunPartition(runs=runs, run_index=tuple(index), nu=nu, lam=lam)
 
 
 def mu(entries: tuple[int, ...]) -> int:

@@ -22,8 +22,8 @@ def dual16():
 
 @pytest.fixture(scope="session")
 def doubling_chain(dual8):
-    graphs = {8: dual8[0]}
-    g = dual8[0]
+    graphs = {8: dual8}
+    g = dual8
     for n in range(9, 16):
         g = double(g)
         graphs[n] = g
@@ -96,7 +96,7 @@ MALFORMED_DOCS = {
 def doc8_text(dual8):
     from minvenn.export import dump_json, to_json
 
-    return dump_json(to_json(dual8[0]))
+    return dump_json(to_json(dual8))
 
 
 @pytest.fixture(params=sorted(MALFORMED_DOCS))

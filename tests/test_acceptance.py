@@ -75,7 +75,7 @@ def test_criterion_03_doubling_chain(capsys):
 
     want = {9: 80, 10: 160, 11: 320, 12: 640, 13: 1280, 14: 2560, 15: 5120}
     t0 = time.perf_counter()
-    g, _ = build_venn_dual(3)
+    g = build_venn_dual(3)
     ok = True
     for n in range(9, 16):
         g = double(g)
@@ -142,7 +142,7 @@ def test_criterion_07_span_equality(capsys):
 def test_criterion_08_face_catalog(capsys, dual8, dual16, doubling_chain):
     ok = True
     counted = 0
-    for g in [dual8[0], dual16[0]] + [doubling_chain[n] for n in range(9, 16)]:
+    for g in [dual8, dual16] + [doubling_chain[n] for n in range(9, 16)]:
         counts = check_face_catalog(g)  # raises on any unmatched face
         counted += sum(counts.values())
         ok = ok and sum(counts.values()) == crossing_count(g)
@@ -167,7 +167,7 @@ def test_criterion_09_property_suites(capsys, dual8, dual16, doubling_chain):
         n = 1 << k
         parts = run_partition(p.flips, n - 1)
         ok = ok and mu(p.flips) >= parts.lam
-    for g in [dual8[0], dual16[0]] + [doubling_chain[n] for n in range(9, 16)]:
+    for g in [dual8, dual16] + [doubling_chain[n] for n in range(9, 16)]:
         ok = ok and crossing_count(g) >= lower_bound(g.n)
     with capsys.disabled():
         report(9, ok, "run identity on 10^4 random sequences, tie-break invariance, "
@@ -175,7 +175,7 @@ def test_criterion_09_property_suites(capsys, dual8, dual16, doubling_chain):
 
 
 def test_criterion_10_formula_consistency(capsys, dual16, doubling_chain):
-    ok = crossing_count(dual16[0]) == expected_crossings(4, 0)
+    ok = crossing_count(dual16) == expected_crossings(4, 0)
     for n in range(8, 16):
         ok = ok and crossing_count(doubling_chain[n]) == expected_crossings(3, n - 8)
     with capsys.disabled():

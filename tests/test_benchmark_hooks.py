@@ -38,7 +38,7 @@ def test_every_wrapped_call_site_resolves():
 def test_face_cache_field_read_by_the_tracer(dual8):
     # tracer.wrap_trace_faces counts a call as a fresh trace when g._faces is None.
     assert "_faces" in {f.name for f in dataclasses.fields(PlaneDualGraph)}
-    built = dual8[0]
+    built = dual8
     g = PlaneDualGraph(built.n, built.rotation, built.outer_edge)
     assert g._faces is None
     faces = trace_faces(g)

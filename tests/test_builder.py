@@ -3,6 +3,7 @@ from collections import Counter
 
 import pytest
 
+from minvenn.bases import basis_C
 from minvenn.builder import (
     BuildError,
     build_venn_dual,
@@ -10,34 +11,35 @@ from minvenn.builder import (
     check_face_catalog,
     classify_face,
     coefficient_order,
+    driving_path,
     partition_preview_graph,
 )
 from minvenn.export import _layout_geometry
-from minvenn.hypercube import mask_of
 from minvenn.plane_graph import Face, PlaneDualGraph, crossing_count, trace_faces
+from minvenn.runs import run_partition
 
 
 def test_k3_crossing_count(dual8):
-    g, _ = dual8
+    g = dual8
     assert crossing_count(g) == 40
 
 
 def test_k3_vertex_and_edge_counts(dual8):
-    g, _ = dual8
+    g = dual8
     assert g.vertex_count == 256
     assert g.edge_count == 294
     assert g.vertex_count - g.edge_count + crossing_count(g) == 2
 
 
 def test_k3_face_histogram(dual8):
-    g, _ = dual8
+    g = dual8
     assert dict(Counter(len(f) for f in trace_faces(g))) == {16: 30, 14: 2, 10: 8}
 
 
 def test_trace_keeps_nothing_per_edge(dual16):
     # The faces take 3 MiB; a map from each of the 141,304 directed edges to
     # its face would add 16 MiB.
-    g = dual16[0]
+    g = dual16
     fresh = PlaneDualGraph(g.n, g.rotation, g.outer_edge)
     tracemalloc.start()
     try:
@@ -51,28 +53,34 @@ def test_trace_keeps_nothing_per_edge(dual16):
     assert retained < 6 << 20
 
 
+def _ring_edges(g):
+    layout = _layout_geometry(g)[0]
+    return {(u, v, d) for u, v, d in g.edges() if layout[u][0] == layout[v][0]}
+
+
 def test_k3_intermediate_graph_face_count():
-    g, trace = build_venn_dual(3, apply_removals=False)
+    g = build_venn_dual(3, apply_removals=False)
     assert crossing_count(g) == 48
-    assert all(s.removed is None for s in trace.steps)
+    assert len(_ring_edges(g)) == 2 * 8 * (1 << 4)  # all 2^d rings keep their 2n edges
 
 
-def test_removals_each_drop_one_face(dual8):
-    g, trace = dual8
-    removed = [s.removed for s in trace.steps if s.removed is not None]
-    assert len(removed) == 8
-    assert len(set(removed)) == 8
-    inter, _ = build_venn_dual(3, apply_removals=False)
-    assert crossing_count(inter) - crossing_count(g) == len(removed)
+def test_removals_each_drop_one_face(dual8, dual16):
+    # lam of the driving path at rho = n/2 - 1: 8 at n = 8, 1280 at n = 16
+    for k, g, lam in ((3, dual8, 8), (4, dual16, 1280)):
+        inter = build_venn_dual(k, apply_removals=False)
+        removed = set(inter.edges()) - set(g.edges())
+        assert set(g.edges()) <= set(inter.edges())
+        assert removed <= _ring_edges(inter)
+        assert len(removed) == lam == run_partition(driving_path(k).flips, (1 << k) // 2 - 1).lam
+        assert crossing_count(inter) - crossing_count(g) == lam
 
 
-def test_trace_invariants(dual8):
-    g, trace = dual8
-    assert trace.ring_bases[0] == 0
-    masks = [mask_of(c) for c in trace.coefficients]
-    for t, s in enumerate(trace.sigma):
-        assert trace.ring_bases[t + 1] == trace.ring_bases[t] ^ masks[s - 1]
-    assert len(set(trace.ring_bases)) == 1 << trace.d
+def test_ring_bases_follow_the_driving_path(dual8):
+    bases, masks = dual8.ring_bases, basis_C(3).elements
+    assert bases[0] == 0
+    for t, s in enumerate(driving_path(3).flips):
+        assert bases[t + 1] == bases[t] ^ masks[s - 1]
+    assert len(set(bases)) == 1 << 4
 
 
 def test_coefficient_order_is_odd_chain_first():
@@ -82,7 +90,7 @@ def test_coefficient_order_is_odd_chain_first():
 
 
 def test_outer_face_is_outermost_ring(dual8):
-    g, _ = dual8
+    g = dual8
     outer = trace_faces(g)[g.outer_face_index()]
     assert len(outer) == 16
     assert 0 in outer.vertices and 255 in outer.vertices
@@ -91,7 +99,7 @@ def test_outer_face_is_outermost_ring(dual8):
 
 
 def test_rotation_orders_are_small_and_consistent(dual8):
-    g, _ = dual8
+    g = dual8
     for v, nbrs in g.rotation.items():
         assert 2 <= len(nbrs) <= 4
         for u in nbrs:
@@ -99,7 +107,7 @@ def test_rotation_orders_are_small_and_consistent(dual8):
 
 
 def test_face_catalog_k3(dual8):
-    g, _ = dual8
+    g = dual8
     counts = check_face_catalog(g)
     assert counts == {
         "ring": 2,
@@ -111,7 +119,7 @@ def test_face_catalog_k3(dual8):
 
 
 def test_every_short_face_matches_template(dual16):
-    g, _ = dual16
+    g = dual16
     six = [f for f in trace_faces(g) if len(f) == 6]
     assert six
     for f in six:
@@ -125,12 +133,12 @@ def test_classify_face_rejects_garbage():
 
 def test_both_tie_breaks_reach_forty():
     for tie_break in ("earlier", "later"):
-        g, _ = build_venn_dual(3, tie_break=tie_break)
+        g = build_venn_dual(3, tie_break=tie_break)
         assert crossing_count(g) == 40
 
 
 def test_later_tie_break_also_reaches_5118():
-    g, _ = build_venn_dual(4, tie_break="later")
+    g = build_venn_dual(4, tie_break="later")
     assert crossing_count(g) == 5118
 
 
@@ -142,8 +150,7 @@ def test_build_guards():
 
 
 def test_layout_covers_all_vertices(dual8):
-    g, trace = dual8
-    assert g.ring_bases == trace.ring_bases
+    g = dual8
     layout = _layout_geometry(g)[0]
     assert set(layout) == set(g.rotation)
     rings = {ring for ring, _pos in layout.values()}
@@ -158,7 +165,7 @@ def test_partition_preview_graph():
 
 
 def test_k4_crossing_count(dual16):
-    g, _ = dual16
+    g = dual16
     assert crossing_count(g) == 5118
     assert g.vertex_count == 1 << 16
     assert g.vertex_count - g.edge_count + 5118 == 2

@@ -178,7 +178,7 @@ def test_verify_computes_each_fact_once(tmp_path, capsys, monkeypatch, dual8, du
     # from_json checks the rotation and traces it; verify_graph reuses both
     # and walks the whole graph once for connectivity and the curves.
     target = tmp_path / f"venn{n}.json"
-    target.write_text(dump_json(to_json((dual8 if n == 8 else dual16)[0])))
+    target.write_text(dump_json(to_json(dual8 if n == 8 else dual16)))
     calls = []
 
     def count(module, name, label):

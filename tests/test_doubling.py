@@ -14,7 +14,7 @@ from minvenn.verify import verify_graph
 
 
 def test_colorful_face_of_base_build(dual8):
-    g, _ = dual8
+    g = dual8
     cf = find_colorful_face(g)
     assert cf is not None
     assert cf.index == g.outer_face_index()
@@ -23,7 +23,7 @@ def test_colorful_face_of_base_build(dual8):
 
 
 def test_short_faces_are_not_colorful(dual16):
-    g, _ = dual16
+    g = dual16
     from minvenn.doubling import _colorful_vertex
 
     short = next(f for f in trace_faces(g) if len(f) == 6)
@@ -31,7 +31,7 @@ def test_short_faces_are_not_colorful(dual16):
 
 
 def test_double_counts(dual8):
-    g, _ = dual8
+    g = dual8
     d = double(g)
     assert d.n == 9
     assert crossing_count(d) == 80
@@ -42,7 +42,7 @@ def test_double_counts(dual8):
 
 
 def test_double_keeps_a_colorful_face(dual8):
-    g, _ = dual8
+    g = dual8
     d = double(g)
     cf = find_colorful_face(d)
     assert cf is not None
@@ -53,7 +53,7 @@ def test_double_keeps_a_colorful_face(dual8):
 
 
 def test_colorful_face_halves_are_permutations(dual8):
-    g, _ = dual8
+    g = dual8
     cf = find_colorful_face(g)
     verts = cf.face.vertices
     i, j = verts.index(cf.vertex), verts.index(cf.complement)
@@ -68,7 +68,7 @@ def test_colorful_face_halves_are_permutations(dual8):
 def test_double_through_non_outer_colorful_face(dual8):
     # re-root the outer designation onto a short face; the scan must fall back
     # to another colorful face and doubling must still work
-    g, _ = dual8
+    g = dual8
     faces = trace_faces(g)
     short = next(f for f in faces if len(f) == 10)
     rerooted = PlaneDualGraph(
@@ -90,7 +90,7 @@ def test_double_through_non_outer_colorful_face(dual8):
 def test_outer_edge_missing_from_the_rotation_raises(dual8):
     # 0 and 255 are not adjacent, and (0, 128) is the edge of direction 8 at 0:
     # a key built from the direction alone would hand back that edge's face.
-    g = dataclasses.replace(dual8[0], outer_edge=(0, 255))
+    g = dataclasses.replace(dual8, outer_edge=(0, 255))
     assert verify_graph(g).passed
     missing = r"outer_edge \(0x0, 0xff\) is not in the rotation"
     with pytest.raises(InconsistentRotation, match=missing):
@@ -149,7 +149,7 @@ from minvenn.builder import build_venn_dual
 from minvenn.doubling import double
 from minvenn.plane_graph import InconsistentRotation, PlaneDualGraph, crossing_count, trace_faces
 
-g = build_venn_dual(3)[0]
+g = build_venn_dual(3)
 assert g.rotation[0] == [1, 4, 128]
 for call in (trace_faces, crossing_count, double):
     rotation = dict(g.rotation)

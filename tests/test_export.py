@@ -40,12 +40,14 @@ def _single_ring_graph(n):
 
 
 def test_round_trip_base_build(dual8):
-    g, trace = dual8
-    doc = to_json(g, trace=trace)
+    g = dual8
+    doc = to_json(g)
     assert doc["crossings"] == 40
     assert doc["construction"] == {"k": 3, "m": 0}
     g2 = from_json(doc)
     assert g2 == g
+    # a key the reader does not know, such as an older writer's step list, is ignored
+    assert from_json({**doc, "steps": [{"gap": 0}]}) == g
     # the face cache takes no part in equality: g is traced, the copy is not
     assert PlaneDualGraph(g.n, g.rotation, g.outer_edge, g.construction, g.ring_bases) == g
     assert to_json(g2) == to_json(g)
@@ -54,7 +56,7 @@ def test_round_trip_base_build(dual8):
 
 
 def test_round_trip_n16_document_is_small(dual16):
-    g, _ = dual16
+    g = dual16
     text = dump_json(to_json(g))
     assert len(text) <= 1_500_000  # 2^d ring bases, not a [ring, position] per vertex
     assert from_json(load_json(text)) == g
@@ -63,9 +65,7 @@ def test_round_trip_n16_document_is_small(dual16):
 def test_rebuild_produces_identical_document():
     from minvenn.builder import build_venn_dual
 
-    g1, t1 = build_venn_dual(3)
-    g2, t2 = build_venn_dual(3)
-    assert dump_json(to_json(g1, trace=t1)) == dump_json(to_json(g2, trace=t2))
+    assert dump_json(to_json(build_venn_dual(3))) == dump_json(to_json(build_venn_dual(3)))
 
 
 def test_round_trip_doubled(doubling_chain):
@@ -117,7 +117,7 @@ def test_sparse_document_with_large_n_stays_small(tmp_path, capsys):
 
 
 def test_from_json_rejects_tampered_rotation(dual8):
-    g, _ = dual8
+    g = dual8
     doc = json.loads(dump_json(to_json(g)))
     victim = next(iter(doc["rotation"]))
     doc["rotation"][victim] = doc["rotation"][victim][:-1]
@@ -127,7 +127,7 @@ def test_from_json_rejects_tampered_rotation(dual8):
 
 def test_from_json_rejects_tampered_faces(dual8):
     # crossings is the face count, checked against the re-traced faces
-    g, _ = dual8
+    g = dual8
     doc = to_json(g)
     doc["crossings"] += 1
     with pytest.raises(DocumentError):
@@ -209,7 +209,7 @@ def test_gallery_documents_load(tmp_path, dual8, doubling_chain):
         env={**os.environ, "PYTHONPATH": src},
         timeout=120,
     )
-    for name, g in (("venn8.json", dual8[0]), ("venn9.json", doubling_chain[9])):
+    for name, g in (("venn8.json", dual8), ("venn9.json", doubling_chain[9])):
         assert from_json(json.loads((tmp_path / name).read_text())) == g
 
 
@@ -227,13 +227,13 @@ def test_to_dot_single_ring():
 
 
 def test_to_dot_base_build(dual8):
-    g, _ = dual8
+    g = dual8
     dot = to_dot(g)
     assert len([l for l in dot.splitlines() if "--" not in l and "label" in l]) == 256
 
 
 def test_render_dual_svg(dual8):
-    g, _ = dual8
+    g = dual8
     svg = render_dual_svg(g)
     root = ET.fromstring(svg)
     assert root.tag.endswith("svg")
@@ -263,7 +263,7 @@ def test_render_refuses_ring_bases_that_miss_the_rotation(doc8_text):
 
 
 def test_render_primal_svg(dual8):
-    g, _ = dual8
+    g = dual8
     svg = render_primal_svg(g)
     ET.fromstring(svg)
     assert svg.count("<path") == 8  # one closed polyline per curve
@@ -271,7 +271,7 @@ def test_render_primal_svg(dual8):
 
 
 def test_render_primal_refuses_an_outer_edge_missing_from_the_rotation(dual8):
-    g = dataclasses.replace(dual8[0], outer_edge=(0, 255))
+    g = dataclasses.replace(dual8, outer_edge=(0, 255))
     missing = r"outer_edge \(0x0, 0xff\) is not in the rotation"
     with pytest.raises(InconsistentRotation, match=missing):
         render_primal_svg(g)

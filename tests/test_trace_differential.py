@@ -36,7 +36,7 @@ def library(g: PlaneDualGraph):
 
 @pytest.fixture(scope="module")
 def builds(dual16, doubling_chain):
-    return {**doubling_chain, 16: dual16[0], 17: double(dual16[0])}
+    return {**doubling_chain, 16: dual16, 17: double(dual16)}
 
 
 @pytest.mark.parametrize("n", range(8, 18))
@@ -50,7 +50,7 @@ def test_build_traces_as_the_oracle(builds, n):
 def test_mutants_raise_as_the_oracle(dual8, doubling_chain):
     kinds = set()
     count = 0
-    for g in (dual8[0], doubling_chain[9]):
+    for g in (dual8, doubling_chain[9]):
         for v in sorted(g.rotation):
             for kind in MUTATIONS:
                 mutant = mutate(g, v, kind)
@@ -81,7 +81,7 @@ def edit(g: PlaneDualGraph, v: int, kind: str) -> PlaneDualGraph:
 
 @pytest.mark.parametrize("kind", ["one-sided", "self-loop", "negative"])
 def test_inconsistent_rotations_raise_as_the_oracle(dual8, kind):
-    g = dual8[0]
+    g = dual8
     for v in sorted(g.rotation):
         broken = edit(g, v, kind)
         got = outcome(library, broken)
@@ -94,7 +94,7 @@ def test_every_rotation_slot_is_walked(dual8, kind):
     # Each slot is walked, so neither a repeated neighbor nor one past the
     # mask bound can be skipped.  The oracle's edge keys let every one of
     # these repeats through: its copy looked traced.
-    g = dual8[0]
+    g = dual8
     passed = 0
     for v in sorted(g.rotation):
         broken = edit(g, v, kind)

@@ -79,7 +79,7 @@ def test_face_condition_examples():
 
 
 def test_full_report_on_base_build(dual8):
-    g, _ = dual8
+    g = dual8
     report = verify_graph(g)
     assert report.passed
     assert report.crossings == 40
@@ -131,7 +131,7 @@ def test_rotation_problems_short_circuit():
 
 
 def test_face_cycles_per_direction(dual8):
-    g, _ = dual8
+    g = dual8
     faces = trace_faces(g)
     buckets = face_edges_by_direction(g)
     assert len(buckets) == 9 and buckets[0] == []
@@ -169,7 +169,7 @@ def walks(monkeypatch):
 
 @pytest.mark.parametrize("n", range(8, 17))
 def test_curves_on_a_sphere_take_one_walk(dual16, doubling_chain, walks, n):
-    g = dual16[0] if n == 16 else doubling_chain[n]
+    g = dual16 if n == 16 else doubling_chain[n]
     assert check_curves(g).passed
     assert walks == [0]
 
@@ -184,7 +184,7 @@ def test_curves_off_the_sphere_walk_each_direction(dual8, walks):
     assert witness.witness == "direction 1: inside splits into 2 components"
     # An added edge breaks Euler's formula, so every direction is walked up
     # to the one whose face cycle fails, direction 1 included.
-    extra = mutate(dual8[0], 31, "add-edge")
+    extra = mutate(dual8, 31, "add-edge")
     assert not check_euler(extra).passed
     walks.clear()
     witness = check_curves(extra)
@@ -197,7 +197,7 @@ def test_curves_walk_only_where_a_face_cycle_fails(dual8, walks):
     # A deleted edge leaves a connected sphere, so the one walk that follows
     # the shared one is for the direction whose face cycle fails.  That walk
     # finds a split side, and its witness wins over the face cycle's.
-    cut = mutate(dual8[0], 0, "delete-edge")
+    cut = mutate(dual8, 0, "delete-edge")
     assert check_connected(cut).passed and check_euler(cut).passed
     walks.clear()
     witness = check_curves(cut)
@@ -223,7 +223,7 @@ def rotation_checks(monkeypatch):
 
 
 def test_loaded_rotation_is_checked_once(dual8, doubling_chain, rotation_checks):
-    for built in (dual8[0], doubling_chain[9]):
+    for built in (dual8, doubling_chain[9]):
         rotation_checks.clear()
         assert verify_graph(built).passed
         assert rotation_checks == [built.n]
@@ -233,8 +233,8 @@ def test_loaded_rotation_is_checked_once(dual8, doubling_chain, rotation_checks)
 
 
 def test_rotation_changed_after_loading_is_checked(dual8, rotation_checks):
-    doc = to_json(dual8[0])
-    bad = mutate(dual8[0], 0, "non-hypercube-edge").rotation
+    doc = to_json(dual8)
+    bad = mutate(dual8, 0, "non-hypercube-edge").rotation
     changed = from_json(doc)
     changed.rotation = bad
     copied = dataclasses.replace(from_json(doc), rotation=bad)
@@ -253,10 +253,10 @@ def test_rotation_changed_after_loading_is_checked(dual8, rotation_checks):
 
 
 def test_verify_graph_walks_once(dual8, walks):
-    assert verify_graph(dual8[0]).passed
+    assert verify_graph(dual8).passed
     assert walks == [0]
     walks.clear()
-    cut = mutate(dual8[0], 0, "delete-edge")
+    cut = mutate(dual8, 0, "delete-edge")
     report = verify_graph(cut)
     assert walks == [0, 2]
     assert report.checks[6] == check_curves(cut)

@@ -103,7 +103,7 @@ def mutate(g: PlaneDualGraph, v: int, kind: str) -> PlaneDualGraph:
 
 @pytest.fixture(scope="module")
 def builds(dual16, doubling_chain):
-    return {**doubling_chain, 16: dual16[0]}
+    return {**doubling_chain, 16: dual16}
 
 
 @pytest.mark.parametrize("n", range(8, 17))
@@ -120,7 +120,7 @@ def test_build_agrees_with_oracle(builds, n):
 def test_mutations_agree_with_oracle(dual8, doubling_chain):
     witnesses = set()
     caught = {kind: Counter() for kind in MUTATIONS}
-    for g in (dual8[0], doubling_chain[9]):
+    for g in (dual8, doubling_chain[9]):
         for v in sorted(g.rotation)[:64]:
             for kind in MUTATIONS:
                 mutant = mutate(g, v, kind)
