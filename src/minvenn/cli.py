@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import gc
 import sys
+from itertools import chain
 
 from .bases import partition_cycles
 from .builder import BuildError, partition_preview_graph
@@ -132,14 +133,8 @@ def _cmd_partition(args, parser) -> int:
     else:
         lines = [f"x={c[0]}: " + " ".join(map(str, c)) for c in cycles]
         _emit("\n".join(lines) + "\n", args.out)
-    seen: set[int] = set()
-    ok = True
-    for c in cycles:
-        for v in c:
-            if v in seen:
-                ok = False
-            seen.add(v)
-    ok = ok and len(seen) == (1 << n)
+    seen = set(chain.from_iterable(cycles))
+    ok = len(seen) == sum(map(len, cycles)) == 1 << n
     print(
         f"partition check: {'PASS' if ok else 'FAIL'} "
         f"({len(cycles)} cycles, {len(seen)} of {1 << n} vertices)",

@@ -174,6 +174,16 @@ def test_curves_on_a_sphere_take_one_walk(dual16, doubling_chain, walks, n):
     assert walks == [0]
 
 
+@pytest.mark.parametrize("n", range(8, 13))
+def test_duality_shortcut_agrees_with_the_walks(doubling_chain, walks, n):
+    # Denied the sphere, check_curves walks every direction and must reach
+    # the verdict that duality gives on a valid graph.
+    g = doubling_chain[n]
+    walked = check_curves(g, sphere=False)
+    assert walks == [1 << (j - 1) for j in range(1, n + 1)]
+    assert walked == check_curves(g) == CheckResult("curves-simple", True)
+
+
 def test_curves_off_the_sphere_walk_each_direction(dual8, walks):
     # Disjoint rings fail connectivity, so direction 1 is walked; its inside
     # splits before its face cycle is looked at.

@@ -49,10 +49,10 @@ SOUNDNESS_MAP = {
 def oracle_report(g: PlaneDualGraph) -> dict:
     """verify_graph's report with the oracle's connectivity and curve checks."""
     with pytest.MonkeyPatch.context() as mp:
-        # verify_graph hands both checks the component count of its one walk;
-        # the oracle counts for itself.
-        mp.setattr(verify, "check_connected", lambda g, _components: oracle.check_connected(g))
-        mp.setattr(verify, "check_curves", lambda g, _components: oracle.check_curves(g))
+        # verify_graph hands check_curves the sphere verdict of three other
+        # checks; the oracle decides the curves for itself.
+        mp.setattr(verify, "check_connected", lambda g: oracle.check_connected(g))
+        mp.setattr(verify, "check_curves", lambda g, _sphere: oracle.check_curves(g))
         return verify.verify_graph(g).to_dict()
 
 
