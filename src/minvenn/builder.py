@@ -198,17 +198,24 @@ def _concentric_graph(
 
 
 def canonical_cycle(word) -> tuple[int, ...]:
-    """Smallest rotation of the word or its reversal, as a tuple."""
+    """Smallest rotation of the word or its reversal, as a tuple.
+
+    A smallest rotation begins with the word's smallest letter, so only the
+    rotations that start there are compared.
+    """
     w = tuple(word)
     length = len(w)
-    best = None
-    for cand_base in (w, w[::-1]):
-        doubled = cand_base + cand_base
-        for i in range(length):
-            cand = doubled[i : i + length]
-            if best is None or cand < best:
-                best = cand
-    return best
+    low = min(w, default=None)
+    return min(
+        (
+            doubled[i : i + length]
+            for cand_base in (w, w[::-1])
+            for doubled in (cand_base + cand_base,)
+            for i, letter in enumerate(cand_base)
+            if letter == low
+        ),
+        default=None,
+    )
 
 
 def _ring_template(n: int) -> tuple[int, ...]:

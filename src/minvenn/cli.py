@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import gc
+import os
 import sys
 from itertools import chain
 
@@ -38,7 +39,19 @@ def _emit(text: str, out_path: str | None) -> None:
         sys.stdout.write(text)
 
 
+def _check_out(path: str | None, parser) -> None:
+    """A usage error, before any work, if --out is set and not a file in an existing directory."""
+    if not path:
+        return
+    folder = os.path.dirname(path) or "."
+    if not os.path.isdir(folder):
+        parser.error(f"--out {path}: no directory {folder}")
+    if os.path.isdir(path):
+        parser.error(f"--out {path} is a directory")
+
+
 def _cmd_build(args, parser) -> int:
+    _check_out(args.out, parser)
     if args.cap > MAX_CAP:
         parser.error(f"--cap at most {MAX_CAP}")
     if args.n < 8:
@@ -68,6 +81,8 @@ def _cmd_build(args, parser) -> int:
 
 
 def _cmd_verify(args, parser) -> int:
+    if args.json:
+        _check_out(args.out, parser)
     try:
         with open(args.file, "r", encoding="utf-8") as fh:
             doc = load_json(fh.read())
@@ -89,6 +104,7 @@ def _achieved(n: int) -> int | None:
 
 
 def _cmd_stats(args, parser) -> int:
+    _check_out(args.out, parser)
     if args.n_max < 1:
         parser.error("--n-max must be >= 1")
     rows = ["   n   lower_bound   constructed      monotone"]
@@ -104,6 +120,7 @@ def _cmd_stats(args, parser) -> int:
 
 
 def _cmd_gray(args, parser) -> int:
+    _check_out(args.out, parser)
     if args.k < 2:
         parser.error("--k must be >= 2")
     try:
@@ -123,6 +140,7 @@ def _cmd_gray(args, parser) -> int:
 
 
 def _cmd_partition(args, parser) -> int:
+    _check_out(args.out, parser)
     try:
         cycles = partition_cycles(args.k)
     except ValueError as exc:

@@ -58,52 +58,92 @@ def find_colorful_face(g: PlaneDualGraph) -> ColorfulFace | None:
     return None
 
 
+def _outer_colorful_face(g: PlaneDualGraph) -> tuple[tuple[int, ...], int] | None:
+    """The outer face's vertex walk and its colorful vertex, by one walk of at most 2n steps.
+
+    The walk starts on outer_edge and follows the same next-edge rule as the
+    trace.  None if the outer face is not colorful, or if the walk leaves the
+    rotation.
+    """
+    rotation = g.rotation
+    start, b = g.outer_edge
+    a = start
+    try:
+        first = s = rotation[a].index(b)
+        walk = []
+        for _ in range(2 * g.n):
+            walk.append(a)
+            b = rotation[a][s]
+            nbrs = rotation[b]
+            s = nbrs.index(a) + 1
+            if s == len(nbrs):
+                s = 0
+            a = b
+    except (KeyError, ValueError):
+        return None
+    if (a, s) != (start, first):
+        return None
+    verts = tuple(walk)
+    v = _colorful_vertex(Face(verts, ()), g.n)
+    return None if v is None else (verts, v)
+
+
 def _insert_after(lst: list[int], anchor: int, item: int) -> None:
     lst.insert(lst.index(anchor) + 1, item)
+
+
+def _double(g: PlaneDualGraph, verts: tuple[int, ...], vertex: int) -> PlaneDualGraph:
+    """The doubled graph, joined at vertex and its complement on the colorful face verts.
+
+    The second copy carries element n+1 on every vertex and is mirrored (all
+    rotations reversed).  It maps each vertex through one image dict, so each
+    new vertex is one int object wherever it is listed.
+    """
+    n = g.n
+    if n + 1 > MAX_DIMENSION:
+        raise DoublingError(f"doubling past dimension {MAX_DIMENSION} is unsupported")
+    bit = 1 << n
+    image = {v: v | bit for v in g.rotation}
+
+    rotation: dict[int, list[int]] = {}
+    for v, nbrs in g.rotation.items():
+        rotation[v] = list(nbrs)
+        rotation[image[v]] = [image[u] for u in reversed(nbrs)]
+
+    complement = vertex ^ ((1 << n) - 1)
+    length = len(verts)
+    i = verts.index(vertex)
+    j = verts.index(complement)
+    # Each new edge sits in the face corner it splits: after the walk
+    # predecessor in the original copy, after the walk successor's image in
+    # the mirrored copy.
+    _insert_after(rotation[vertex], verts[(i - 1) % length], image[vertex])
+    _insert_after(rotation[complement], verts[(j - 1) % length], image[complement])
+    _insert_after(rotation[image[vertex]], image[verts[(i + 1) % length]], vertex)
+    _insert_after(rotation[image[complement]], image[verts[(j + 1) % length]], complement)
+
+    construction = None
+    if g.construction is not None:
+        construction = (g.construction[0], g.construction[1] + 1)
+    return PlaneDualGraph(
+        n=n + 1,
+        rotation=rotation,
+        outer_edge=(vertex, image[vertex]),
+        construction=construction,
+    )
 
 
 def double(g: PlaneDualGraph) -> PlaneDualGraph:
     """An (n+1)-dimensional dual with exactly twice as many faces.
 
-    The second copy carries element n+1 on every vertex and is mirrored (all
-    rotations reversed); the copies are joined by two edges at an antipodal
-    pair on a colorful face.  The new graph again has a colorful outer face,
-    so doubling can be iterated.
+    The copies are joined by two edges at an antipodal pair on a colorful
+    face (see _double).  The new graph again has a colorful outer face, so
+    doubling can be iterated.  Both graphs are traced to check the face count.
     """
     cf = find_colorful_face(g)
     if cf is None:
         raise DoublingError("graph has no colorful face")
-    n = g.n
-    if n + 1 > MAX_DIMENSION:
-        raise DoublingError(f"doubling past dimension {MAX_DIMENSION} is unsupported")
-    bit = 1 << n
-
-    rotation: dict[int, list[int]] = {}
-    for v, nbrs in g.rotation.items():
-        rotation[v] = list(nbrs)
-        rotation[v | bit] = [u | bit for u in reversed(nbrs)]
-
-    verts = cf.face.vertices
-    length = len(verts)
-    i = verts.index(cf.vertex)
-    j = verts.index(cf.complement)
-    # Each new edge sits in the face corner it splits: after the walk
-    # predecessor in the original copy, after the walk successor's image in
-    # the mirrored copy.
-    _insert_after(rotation[cf.vertex], verts[(i - 1) % length], cf.vertex | bit)
-    _insert_after(rotation[cf.complement], verts[(j - 1) % length], cf.complement | bit)
-    _insert_after(rotation[cf.vertex | bit], verts[(i + 1) % length] | bit, cf.vertex)
-    _insert_after(rotation[cf.complement | bit], verts[(j + 1) % length] | bit, cf.complement)
-
-    construction = None
-    if g.construction is not None:
-        construction = (g.construction[0], g.construction[1] + 1)
-    out = PlaneDualGraph(
-        n=n + 1,
-        rotation=rotation,
-        outer_edge=(cf.vertex, cf.vertex | bit),
-        construction=construction,
-    )
+    out = _double(g, cf.face.vertices, cf.vertex)
     before = len(trace_faces(g))
     after = len(trace_faces(out))
     if after != 2 * before:
@@ -115,7 +155,10 @@ def build_venn(n_total: int, cap: int = DEFAULT_CAP) -> PlaneDualGraph:
     """Dual graph of an n-Venn diagram for any n >= 8.
 
     Builds the largest power-of-two instance at or below n and doubles the
-    remaining m = n - 2^k times.
+    remaining m = n - 2^k times.  Each colorful face is the outer face,
+    found by one walk from outer_edge; only the base (whose trace the build
+    has cached) and the graph returned are traced, and the returned graph
+    must have 2^m times the base's faces.
     """
     if n_total < 8:
         raise BuildError(f"need n >= 8, got {n_total}")
@@ -124,6 +167,13 @@ def build_venn(n_total: int, cap: int = DEFAULT_CAP) -> PlaneDualGraph:
     k = n_total.bit_length() - 1
     m = n_total - (1 << k)
     g = build_venn_dual(k, cap=cap)
+    want = len(trace_faces(g)) << m
     for _ in range(m):
-        g = double(g)
+        found = _outer_colorful_face(g)
+        if found is None:
+            raise DoublingError(f"the outer face of the n={g.n} graph is not colorful")
+        g = _double(g, *found)
+    got = len(trace_faces(g))
+    if got != want:
+        raise DoublingError(f"doubling produced {got} faces, expected {want}")
     return g

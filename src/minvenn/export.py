@@ -69,7 +69,10 @@ def _unique_keys(pairs: list) -> dict:
 
 def load_json(text: str) -> dict:
     """Parse JSON text, rejecting an object that repeats a key instead of keeping the last."""
-    return json.loads(text, object_pairs_hook=_unique_keys)
+    try:
+        return json.loads(text, object_pairs_hook=_unique_keys)
+    except RecursionError:
+        raise DocumentError("the JSON nests too deeply to parse") from None
 
 
 def _require(ok: bool, problem: str) -> None:

@@ -2,6 +2,8 @@ import tracemalloc
 from collections import Counter
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from minvenn.bases import basis_C
 from minvenn.builder import (
@@ -169,3 +171,27 @@ def test_k4_crossing_count(dual16):
     assert crossing_count(g) == 5118
     assert g.vertex_count == 1 << 16
     assert g.vertex_count - g.edge_count + 5118 == 2
+
+
+def canonical_cycle_oracle(word):
+    """Every rotation of the word and its reversal compared: the definition itself."""
+    w = tuple(word)
+    length = len(w)
+    best = None
+    for cand_base in (w, w[::-1]):
+        doubled = cand_base + cand_base
+        for i in range(length):
+            cand = doubled[i : i + length]
+            if best is None or cand < best:
+                best = cand
+    return best
+
+
+@given(st.lists(st.integers(min_value=1, max_value=5), max_size=14))
+def test_canonical_cycle_matches_every_rotation(word):
+    assert canonical_cycle(word) == canonical_cycle_oracle(word)
+
+
+def test_canonical_cycle_matches_every_rotation_on_the_k4_faces(dual16):
+    for f in trace_faces(dual16):
+        assert canonical_cycle(f.flips) == canonical_cycle_oracle(f.flips)

@@ -200,11 +200,11 @@ def test_verify_computes_each_fact_once(tmp_path, capsys, monkeypatch, dual8, du
     assert [c for c in calls if c != "cached"] == ["rotation_problems", "trace", "walk 0"]
 
 
-def assert_verify_exits_2(target):
-    """`minvenn verify target` in a fresh process is a usage error, not a traceback."""
+def assert_exits_2(*argv):
+    """`minvenn *argv` in a fresh process is a usage error, not a traceback."""
     src = str(Path(minvenn.__file__).resolve().parents[1])
     proc = subprocess.run(
-        [sys.executable, "-m", "minvenn.cli", "verify", str(target)],
+        [sys.executable, "-m", "minvenn.cli", *map(str, argv)],
         capture_output=True,
         text=True,
         env={**os.environ, "PYTHONPATH": src},
@@ -219,7 +219,7 @@ def assert_verify_exits_2(target):
 def test_verify_malformed_document_exits_2(tmp_path, malformed_doc):
     target = tmp_path / "bad.json"
     target.write_text(json.dumps(malformed_doc))
-    assert_verify_exits_2(target)
+    assert_exits_2("verify", target)
 
 
 def test_verify_rejects_repeated_vertex_key(tmp_path, doc8_text):
@@ -229,7 +229,32 @@ def test_verify_rejects_repeated_vertex_key(tmp_path, doc8_text):
     assert json.loads(text) == json.loads(doc8_text)
     target = tmp_path / "repeated.json"
     target.write_text(text)
-    assert "key '1' appears twice in one object" in assert_verify_exits_2(target)
+    assert "key '1' appears twice in one object" in assert_exits_2("verify", target)
+
+
+def test_verify_deeply_nested_json_exits_2(tmp_path):
+    target = tmp_path / "deep.json"
+    target.write_text("[" * 100_000)
+    assert "nests too deeply" in assert_exits_2("verify", target)
+
+
+def test_build_out_in_a_missing_directory_exits_2_before_building(tmp_path, monkeypatch, capsys):
+    target = tmp_path / "missing" / "x.json"
+    assert "no directory" in assert_exits_2("build", "--n", "8", "--out", target)
+    monkeypatch.setattr(cli, "build_venn", lambda *a, **k: pytest.fail("built before the check"))
+    code, _out, err = run(capsys, ["build", "--n", "8", "--out", str(target)])
+    assert code == 2 and "no directory" in err
+    assert not target.parent.exists()
+
+
+def test_verify_out_in_a_missing_directory_exits_2(tmp_path, capsys, doc8_text):
+    doc = tmp_path / "venn8.json"
+    doc.write_text(doc8_text)
+    target = tmp_path / "missing" / "r.json"
+    assert "no directory" in assert_exits_2("verify", doc, "--json", "--out", target)
+    # without --json nothing goes to --out, so it is not checked
+    code, _out, _err = run(capsys, ["verify", str(doc), "--out", str(target)])
+    assert code == 0 and not target.parent.exists()
 
 
 # SHA-256 of stdout for fixed invocations.  Output is byte-identical for a

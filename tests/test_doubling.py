@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 import minvenn
+from minvenn import builder, doubling, plane_graph
 from minvenn.builder import BuildError
 from minvenn.doubling import DoublingError, build_venn, double, find_colorful_face
 from minvenn.plane_graph import InconsistentRotation, PlaneDualGraph, crossing_count, trace_faces
@@ -133,6 +134,77 @@ def test_build_venn_entry_point():
     assert g.n == 10
     assert crossing_count(g) == 160
     assert g.construction == (3, 2)
+
+
+@pytest.mark.parametrize("n", [9, 10, 11, 12])
+def test_build_venn_matches_the_double_chain(doubling_chain, n):
+    g, want = build_venn(n), doubling_chain[n]
+    assert g.rotation == want.rotation
+    assert g.outer_edge == want.outer_edge
+    assert g.construction == want.construction
+    assert trace_faces(g) == trace_faces(want)
+
+
+@pytest.mark.parametrize("base", ["chain", "dual16"])
+def test_outer_walk_finds_the_face_the_trace_finds(request, doubling_chain, base):
+    graphs = doubling_chain.values() if base == "chain" else [request.getfixturevalue(base)]
+    for g in graphs:
+        cf = find_colorful_face(g)
+        verts, v = doubling._outer_colorful_face(g)
+        assert cf.index == g.outer_face_index()
+        assert v == cf.vertex
+        # the same closed walk, started on outer_edge instead of at its least vertex
+        i = cf.face.vertices.index(g.outer_edge[0])
+        assert verts == cf.face.vertices[i:] + cf.face.vertices[:i]
+
+
+def test_outer_walk_rejects_an_outer_face_that_is_not_colorful(dual8):
+    short = next(f for f in trace_faces(dual8) if len(f) == 10)
+    rerooted = dataclasses.replace(dual8, outer_edge=short.vertices[:2])
+    assert doubling._outer_colorful_face(rerooted) is None
+    assert doubling._outer_colorful_face(dataclasses.replace(dual8, outer_edge=(0, 255))) is None
+
+
+def test_build_venn_raises_when_the_outer_face_is_not_colorful(monkeypatch, dual8):
+    short = next(f for f in trace_faces(dual8) if len(f) == 10)
+    rerooted = dataclasses.replace(dual8, outer_edge=short.vertices[:2])
+    monkeypatch.setattr(doubling, "build_venn_dual", lambda k, cap: rerooted)
+    with pytest.raises(DoublingError, match="outer face of the n=8 graph is not colorful"):
+        build_venn(9)
+
+
+def test_both_entry_points_check_the_face_count(monkeypatch, dual8):
+    monkeypatch.setattr(doubling, "_double", lambda g, verts, vertex: g)
+    with pytest.raises(DoublingError, match="produced 40 faces, expected 80"):
+        build_venn(9)
+    with pytest.raises(DoublingError, match="produced 40 faces, expected 80"):
+        double(dual8)
+
+
+def test_mirrored_copy_lists_each_vertex_as_one_object(dual8):
+    d = double(dual8)
+    keys = {v: v for v in d.rotation}
+    bit = 1 << dual8.n
+    mirrored = [v for v in d.rotation if v & bit]
+    assert len(mirrored) == dual8.vertex_count
+    for v in mirrored:
+        assert all(u is keys[u] for u in d.rotation[v] if u & bit)
+
+
+def test_build_venn_traces_the_base_and_the_result_only(monkeypatch):
+    traced = []
+    real = plane_graph.trace_faces
+
+    def counting(g):
+        if g._faces is None:
+            traced.append(g)
+        return real(g)
+
+    for module in (builder, doubling, plane_graph):
+        monkeypatch.setattr(module, "trace_faces", counting)
+    g = build_venn(12)
+    assert [(t.n, t.construction) for t in traced] == [(8, (3, 0)), (12, (3, 4))]
+    assert traced[1] is g
 
 
 def test_build_venn_guards():
