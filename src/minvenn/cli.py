@@ -31,10 +31,13 @@ from .runs import mu, product_path, run_partition
 from .verify import expected_crossings, lower_bound, monotone_reference, verify_graph
 
 
-def _emit(text: str, out_path: str | None) -> None:
+def _emit(text: str, out_path: str | None, parser) -> None:
     if out_path:
-        with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(out_path, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            parser.error(f"cannot write --out: {exc}")
     else:
         sys.stdout.write(text)
 
@@ -76,7 +79,7 @@ def _cmd_build(args, parser) -> int:
                 text = render_primal_svg(g, report=report)
         except RenderError as exc:
             parser.error(str(exc))
-    _emit(text, args.out)
+    _emit(text, args.out, parser)
     return 0 if report.passed else 1
 
 
@@ -92,7 +95,7 @@ def _cmd_verify(args, parser) -> int:
     report = verify_graph(g)
     print(report.format_text(), file=sys.stderr)
     if args.json:
-        _emit(dump_json(report.to_dict()), args.out)
+        _emit(dump_json(report.to_dict()), args.out, parser)
     return 0 if report.passed else 1
 
 
@@ -115,7 +118,7 @@ def _cmd_stats(args, parser) -> int:
             f"{n:4d}  {bound:12d}  {built if built is not None else '-':>12}  "
             f"{monotone_reference(n):12d}"
         )
-    _emit("\n".join(rows) + "\n", args.out)
+    _emit("\n".join(rows) + "\n", args.out, parser)
     return 0
 
 
@@ -135,7 +138,7 @@ def _cmd_gray(args, parser) -> int:
             f"length={len(path.flips)} n={n + args.m} rho={n - 1} "
             f"nu={parts.nu} lambda={parts.lam} mu={mu(path.flips)}"
         )
-    _emit("\n".join(lines) + "\n", args.out)
+    _emit("\n".join(lines) + "\n", args.out, parser)
     return 0
 
 
@@ -147,10 +150,10 @@ def _cmd_partition(args, parser) -> int:
         parser.error(str(exc))
     n = 1 << args.k
     if args.format == "svg-dual":
-        _emit(render_dual_svg(partition_preview_graph(args.k)), args.out)
+        _emit(render_dual_svg(partition_preview_graph(args.k)), args.out, parser)
     else:
         lines = [f"x={c[0]}: " + " ".join(map(str, c)) for c in cycles]
-        _emit("\n".join(lines) + "\n", args.out)
+        _emit("\n".join(lines) + "\n", args.out, parser)
     seen = set(chain.from_iterable(cycles))
     ok = len(seen) == sum(map(len, cycles)) == 1 << n
     print(

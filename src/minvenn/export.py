@@ -104,8 +104,8 @@ def from_json(doc: dict) -> PlaneDualGraph:
 
     Raises DocumentError on any malformed document, including one of another
     format version.  n and the construction level k are bounded before
-    anything of size 2^n or 2^k is built, and the rotation is checked before
-    its faces are traced.
+    anything of size 2^n or 2^k is built.  The trace that counts the faces
+    also decides the rotation; rotation_problems only names its defect.
     """
     _require(isinstance(doc, dict), "document is not a JSON object")
     version = doc.get("format_version")
@@ -119,9 +119,6 @@ def from_json(doc: dict) -> PlaneDualGraph:
         f"n must be an integer in [1, {MAX_DIMENSION}]",
     )
     rotation = _vertex_table(doc.get("rotation"), "rotation", "a list of integers")
-    problems = rotation_problems(rotation, n)
-    if problems:
-        raise DocumentError(f"document rotation is inconsistent: {problems[0]}")
     edge = doc.get("outer_edge")
     _require(_int_lists([edge]) and len(edge) == 2, "outer_edge must be a [u, v] pair of integers")
     u, v = edge
@@ -148,8 +145,12 @@ def from_json(doc: dict) -> PlaneDualGraph:
         construction=construction,
         ring_bases=None if bases is None else tuple(bases),
     )
-    g._rotation_checked = (rotation, n)
-    crossings, faces = doc.get("crossings"), len(trace_faces(g))
+    try:
+        faces = len(trace_faces(g))
+    except ValueError as exc:
+        problem = (rotation_problems(rotation, n) or [str(exc)])[0]
+        raise DocumentError(f"document rotation is inconsistent: {problem}") from None
+    crossings = doc.get("crossings")
     _require(
         type(crossings) is int and crossings == faces,
         f"crossings must equal the {faces} faces the rotation traces",
@@ -197,19 +198,21 @@ def _layout_geometry(g: PlaneDualGraph):
     return layout, position, center, r_outer, num_rings
 
 
-_SVG_HEAD = '<?xml version="1.0" encoding="UTF-8"?>\n'
+def _svg_open(size: float) -> list[str]:
+    """The XML declaration, the svg element and a white background, size units square."""
+    s = _fmt(size)
+    return [
+        '<?xml version="1.0" encoding="UTF-8"?>\n',
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{s}" height="{s}" '
+        f'viewBox="0 0 {s} {s}">\n',
+        f'<rect width="{s}" height="{s}" fill="white"/>\n',
+    ]
 
 
 def render_dual_svg(g: PlaneDualGraph) -> str:
     """Concentric drawing of the dual graph: rings, cross edges, vertices."""
     layout, position, center, r_outer, _num_rings = _layout_geometry(g)
-    size = 2.0 * center
-    parts = [
-        _SVG_HEAD,
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{_fmt(size)}" '
-        f'height="{_fmt(size)}" viewBox="0 0 {_fmt(size)} {_fmt(size)}">\n',
-        f'<rect width="{_fmt(size)}" height="{_fmt(size)}" fill="white"/>\n',
-    ]
+    parts = _svg_open(2.0 * center)
     for u, v, _d in g.edges():
         same_ring = layout[u][0] == layout[v][0]
         x1, y1 = position(u)
@@ -266,13 +269,7 @@ def render_primal_svg(g: PlaneDualGraph, report=None) -> str:
         return center + rr * cos(theta), center + rr * sin(theta)
 
     points = {idx: face_point(idx) for idx in range(len(faces))}
-    size = 2.0 * center
-    parts = [
-        _SVG_HEAD,
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{_fmt(size)}" '
-        f'height="{_fmt(size)}" viewBox="0 0 {_fmt(size)} {_fmt(size)}">\n',
-        f'<rect width="{_fmt(size)}" height="{_fmt(size)}" fill="white"/>\n',
-    ]
+    parts = _svg_open(2.0 * center)
     buckets = face_edges_by_direction(g)
     for j in range(1, g.n + 1):
         cycle, _problem = face_cycle(buckets[j], j)  # None: the curves check passed

@@ -3,13 +3,13 @@
 A rotation system assigns each vertex the cyclic order of its incident
 edges.  Tracing faces with the standard next-edge rule certifies the
 embedding: if the traced face count satisfies Euler's formula on a connected
-graph, the rotation describes a sphere embedding.  The trace walks the
-rotation lists themselves, one pass per face, and stops at the first edge
-it has already traced, so a malformed rotation cannot make it loop.  It
-marks every rotation entry it walks, so each entry is walked and tested as
-a hypercube edge exactly once.  Graphs are treated as immutable once built;
-on first use the trace keeps the face list and the index of the outer face,
-nothing per edge.
+graph, the rotation describes a sphere embedding.  The trace is also the
+one test of the rotation: it raises exactly when rotation_problems, which
+names the defect, finds one.  It bounds masks and degrees, walks the
+rotation lists one pass per face and stops at the first edge it has
+already traced, so a malformed rotation cannot make it loop; each entry is
+walked and tested as a hypercube edge exactly once.  Graphs are frozen; the
+trace keeps the face list and the outer face's index, nothing per edge.
 """
 
 from __future__ import annotations
@@ -35,15 +35,15 @@ class Face:
         return len(self.vertices)
 
 
-@dataclass
+@dataclass(frozen=True)
 class PlaneDualGraph:
     """A plane spanning subgraph of Q_n, the dual of a Venn diagram.
 
     rotation maps each vertex bitmask to the cyclic list of its neighbors.
     outer_edge is a directed edge whose traced face is the outer face; the
-    trace caches the faces and that face's index, nothing per edge.
-    from_json records the (rotation, n) it found consistent, so that
-    verify_graph does not check the same rotation again.
+    trace caches the faces and that face's index, nothing per edge, so the
+    rotation lists must not be edited in place: dataclasses.replace makes
+    an untraced copy with another rotation.
     construction records (k, m) for graphs built here: a power-of-two base
     build with k levels, doubled m times.  ring_bases lists the base vertex
     of each concentric ring, outermost first, for concentric builds (ring
@@ -57,9 +57,6 @@ class PlaneDualGraph:
     ring_bases: tuple[int, ...] | None = None
     _faces: list[Face] | None = field(default=None, init=False, repr=False, compare=False)
     _outer_face: int | None = field(default=None, init=False, repr=False, compare=False)
-    _rotation_checked: tuple[dict[int, list[int]], int] | None = field(
-        default=None, init=False, repr=False, compare=False
-    )
 
     def vertices(self) -> list[int]:
         return sorted(self.rotation)
@@ -90,9 +87,13 @@ def trace_faces(g: PlaneDualGraph) -> list[Face]:
     """All faces of the embedding; each directed edge is used exactly once."""
     if g._faces is not None:
         return g._faces
-    rotation = g.rotation
-    if rotation and (min(rotation) < 0 or max(rotation) >> MAX_DIMENSION):
-        raise InconsistentRotation(f"vertex masks must lie in [0, 2^{MAX_DIMENSION})")
+    rotation, n = g.rotation, g.n
+    # With these two bounds the trace raises exactly when rotation_problems is
+    # not empty; the degree bound also keeps the nbrs.index scans linear.
+    if rotation and (min(rotation) < 0 or max(rotation) >> min(n, MAX_DIMENSION)):
+        raise InconsistentRotation(f"vertex masks must lie in [0, 2^{min(n, MAX_DIMENSION)})")
+    if rotation and max(map(len, rotation.values())) > n:
+        raise InconsistentRotation(f"a vertex lists more than {n} neighbors")
     # Bit s of done[a] marks the edge from a to rotation[a][s] as traced.  A
     # neighbor listed twice is then two edges into one next edge, so the walk
     # over the second copy cannot close its face.
@@ -139,7 +140,8 @@ def trace_faces(g: PlaneDualGraph) -> list[Face]:
             if outer is None and done.get(ou, 0) & outer_bit:
                 outer = len(faces)
             faces.append(Face(tuple(walk), tuple(map(int.bit_length, diffs))))
-    g._faces, g._outer_face = faces, outer
+    object.__setattr__(g, "_faces", faces)
+    object.__setattr__(g, "_outer_face", outer)
     return faces
 
 
@@ -149,7 +151,7 @@ def crossing_count(g: PlaneDualGraph) -> int:
 
 
 def rotation_problems(rotation: dict[int, list[int]], n: int) -> list[str]:
-    """Structural defects of the rotation system, as human-readable strings."""
+    """Structural defects of the rotation, as readable strings, once a trace has raised."""
     problems = []
     for v, nbrs in rotation.items():
         if len(set(nbrs)) != len(nbrs):

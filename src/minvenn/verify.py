@@ -334,18 +334,16 @@ def verify_graph(g: PlaneDualGraph) -> VerificationReport:
     """Run the full battery of structural checks and collect a report."""
     n = g.n
     bound = lower_bound(n) if n >= 2 else 0
-    monotone = monotone_reference(n)
-    expected = None
-    if g.construction is not None:
-        expected = expected_crossings(*g.construction)
+    expected = None if g.construction is None else expected_crossings(*g.construction)
 
-    # from_json has checked the rotation it loaded; any other graph, or a loaded
-    # one given another rotation or n since, is checked here.
-    problems = [] if g._rotation_checked == (g.rotation, n) else rotation_problems(g.rotation, n)
-    checks = [CheckResult("rotation-consistent", not problems, problems[0] if problems else None)]
-    faces = [] if problems else trace_faces(g)
+    # The trace decides the rotation; rotation_problems only names a defect.
+    try:
+        faces, problem = trace_faces(g), None
+    except ValueError as exc:
+        faces, problem = [], (rotation_problems(g.rotation, n) or [str(exc)])[0]
+    checks = [CheckResult("rotation-consistent", problem is None, problem)]
     crossings = len(faces)
-    if not problems:
+    if problem is None:
         sphere = [check_connected(g), check_euler(g), check_edge_conservation(g)]
         checks += [check_spanning(g), *sphere, check_faces(g)]
         checks.append(check_curves(g, all(c.passed for c in sphere)))
@@ -358,7 +356,7 @@ def verify_graph(g: PlaneDualGraph) -> VerificationReport:
         n=n,
         crossings=crossings,
         lower_bound=bound,
-        monotone_reference=monotone,
+        monotone_reference=monotone_reference(n),
         expected_crossings=expected,
         face_histogram=dict(Counter(map(len, faces))),
         checks=checks,

@@ -175,8 +175,9 @@ def test_verify_failing_document(tmp_path, capsys):
 
 @pytest.mark.parametrize("n", [8, 16])
 def test_verify_computes_each_fact_once(tmp_path, capsys, monkeypatch, dual8, dual16, n):
-    # from_json checks the rotation and traces it; verify_graph reuses both
-    # and walks the whole graph once for connectivity and the curves.
+    # from_json traces the rotation, which also decides that it is
+    # consistent; verify_graph reuses the trace and walks the whole graph
+    # once for connectivity and the curves.  rotation_problems never runs.
     target = tmp_path / f"venn{n}.json"
     target.write_text(dump_json(to_json(dual8 if n == 8 else dual16)))
     calls = []
@@ -197,7 +198,7 @@ def test_verify_computes_each_fact_once(tmp_path, capsys, monkeypatch, dual8, du
     count(verify, "_component_roots", lambda rotation, skip_bit: f"walk {skip_bit}")
     code, _out, err = run(capsys, ["verify", str(target)])
     assert code == 0 and "verdict: PASS" in err
-    assert [c for c in calls if c != "cached"] == ["rotation_problems", "trace", "walk 0"]
+    assert [c for c in calls if c != "cached"] == ["trace", "walk 0"]
 
 
 def assert_exits_2(*argv):
@@ -245,6 +246,15 @@ def test_build_out_in_a_missing_directory_exits_2_before_building(tmp_path, monk
     code, _out, err = run(capsys, ["build", "--n", "8", "--out", str(target)])
     assert code == 2 and "no directory" in err
     assert not target.parent.exists()
+
+
+@pytest.mark.parametrize("command", [["build", "--n", "8"], ["stats"]])
+def test_out_that_cannot_be_written_exits_2(tmp_path, command):
+    # The directory exists, so the early --out check passes; opening the
+    # file fails only after the work, with ENAMETOOLONG.
+    target = tmp_path / ("x" * 300 + ".json")
+    assert "cannot write --out" in assert_exits_2(*command, "--out", target)
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_verify_out_in_a_missing_directory_exits_2(tmp_path, capsys, doc8_text):

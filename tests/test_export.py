@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 import tracemalloc
 import xml.etree.ElementTree as ET
 from pathlib import Path
@@ -132,6 +133,20 @@ def test_from_json_rejects_tampered_faces(dual8):
     doc["crossings"] += 1
     with pytest.raises(DocumentError):
         from_json(doc)
+
+
+def test_from_json_refuses_a_star_in_linear_time(doc8_text):
+    # Vertex 0 lists 40,000 leaves, none a hypercube neighbor.  The trace's
+    # degree bound refuses it before any walk, whose neighbor scans would
+    # take time quadratic in that list.
+    leaves = [3 * i + 3 for i in range(40_000)]
+    doc = json.loads(doc8_text)
+    rotation = {"0": leaves, **{str(u): [0] for u in leaves}}
+    doc.update(n=32, rotation=rotation, outer_edge=[0, 3], construction=None, ring_bases=None)
+    start = time.perf_counter()
+    with pytest.raises(DocumentError, match=r"\(0x3, 0x0\) is not a hypercube edge"):
+        from_json(doc)
+    assert time.perf_counter() - start < 1
 
 
 def test_from_json_rejects_malformed_document(malformed_doc):

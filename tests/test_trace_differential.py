@@ -6,14 +6,16 @@ every mutant of the n = 8 and n = 9 builds that `mutate` makes.  A
 rotation that lists a neighbor twice is where the two part on purpose: the
 oracle keyed traced edges by their ends, so the repeat looked traced and
 could go unnoticed; the library's trace marks each rotation slot and
-always raises.
+always raises.  It also bounds the vertex masks by 2^n and the degrees by
+n, which the oracle never did.  On every mutant and every edit, the
+library's trace raises exactly when `rotation_problems` names a defect.
 """
 
 import pytest
 
 import trace_oracle as oracle
 from minvenn.doubling import double
-from minvenn.plane_graph import InconsistentRotation, PlaneDualGraph, trace_faces
+from minvenn.plane_graph import InconsistentRotation, PlaneDualGraph, rotation_problems, trace_faces
 from test_verify_differential import MUTATIONS, mutate
 
 
@@ -32,6 +34,10 @@ def outcome(trace, g: PlaneDualGraph):
 def library(g: PlaneDualGraph):
     faces = trace_faces(g)
     return faces, g._outer_face
+
+
+def assert_raised_iff_problems(g: PlaneDualGraph, raised: bool) -> None:
+    assert raised == bool(rotation_problems(g.rotation, g.n))
 
 
 @pytest.fixture(scope="module")
@@ -56,6 +62,7 @@ def test_mutants_raise_as_the_oracle(dual8, doubling_chain):
                 mutant = mutate(g, v, kind)
                 got = outcome(library, mutant)
                 assert got == outcome(oracle.trace_faces, mutant), (kind, v)
+                assert_raised_iff_problems(mutant, isinstance(got[0], type))
                 kinds.add(got[0] if isinstance(got[0], type) else "faces")
                 count += 1
     assert count == 5376
@@ -74,6 +81,11 @@ def edit(g: PlaneDualGraph, v: int, kind: str) -> PlaneDualGraph:
         nbrs.insert(1, -1 - v)
     elif kind == "past-the-cap":
         nbrs.insert(1, v ^ 1 << 40)
+    elif kind == "above-n":
+        nbrs.append(v | 1 << g.n)
+        rotation[v | 1 << g.n] = [v]
+    elif kind == "over-degree":
+        nbrs += nbrs[:1] * (g.n + 1 - len(nbrs))
     else:
         nbrs.append(nbrs[0])  # a neighbor listed twice, the copies cyclically adjacent
     return PlaneDualGraph(g.n, rotation, g.outer_edge)
@@ -87,18 +99,31 @@ def test_inconsistent_rotations_raise_as_the_oracle(dual8, kind):
         got = outcome(library, broken)
         assert isinstance(got[0], type)
         assert got == outcome(oracle.trace_faces, broken), v
+        assert_raised_iff_problems(broken, True)
 
 
-@pytest.mark.parametrize("kind", ["repeat", "past-the-cap"])
+# The message each kind must raise with, where one guard always catches it.
+EDIT_MESSAGES = {
+    "repeat": None,
+    "past-the-cap": None,
+    "above-n": r"vertex masks must lie in \[0, 2\^8\)",
+    "over-degree": "a vertex lists more than 8 neighbors",
+}
+
+
+@pytest.mark.parametrize("kind", sorted(EDIT_MESSAGES))
 def test_every_rotation_slot_is_walked(dual8, kind):
     # Each slot is walked, so neither a repeated neighbor nor one past the
-    # mask bound can be skipped.  The oracle's edge keys let every one of
-    # these repeats through: its copy looked traced.
+    # mask bound can be skipped, and the trace's bounds refuse a vertex
+    # past bit n and a vertex with more than n entries.  The oracle's edge
+    # keys let every repeat through (its copy looked traced), and it knew
+    # neither bound.
     g = dual8
     passed = 0
     for v in sorted(g.rotation):
         broken = edit(g, v, kind)
-        with pytest.raises(InconsistentRotation):
+        with pytest.raises(InconsistentRotation, match=EDIT_MESSAGES[kind]):
             trace_faces(broken)
+        assert_raised_iff_problems(broken, True)
         passed += not isinstance(outcome(oracle.trace_faces, broken)[0], type)
-    assert passed == (len(g.rotation) if kind == "repeat" else 0)
+    assert passed == (0 if kind == "past-the-cap" else len(g.rotation))

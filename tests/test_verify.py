@@ -4,9 +4,9 @@ from fractions import Fraction
 import pytest
 
 import verify_oracle as oracle
-from minvenn import verify
+from minvenn import export, verify
 from minvenn.builder import partition_preview_graph
-from minvenn.export import from_json, to_json
+from minvenn.export import DocumentError, from_json, to_json
 from minvenn.plane_graph import PlaneDualGraph, trace_faces
 from minvenn.verify import (
     CheckResult,
@@ -220,7 +220,7 @@ def test_curves_walk_only_where_a_face_cycle_fails(dual8, walks):
 
 @pytest.fixture
 def rotation_checks(monkeypatch):
-    """The n of every rotation_problems call verify_graph makes."""
+    """The n of every rotation_problems call that verify_graph or from_json makes."""
     calls = []
     check = verify.rotation_problems
 
@@ -228,37 +228,82 @@ def rotation_checks(monkeypatch):
         calls.append(n)
         return check(rotation, n)
 
-    monkeypatch.setattr(verify, "rotation_problems", counted)
+    for module in (verify, export):
+        monkeypatch.setattr(module, "rotation_problems", counted)
     return calls
 
 
 def test_loaded_rotation_is_checked_once(dual8, doubling_chain, rotation_checks):
+    # The trace decides the rotation, so rotation_problems runs on no valid
+    # graph, built or loaded, and once on an invalid one, to name its defect.
     for built in (dual8, doubling_chain[9]):
-        rotation_checks.clear()
         assert verify_graph(built).passed
-        assert rotation_checks == [built.n]
-        rotation_checks.clear()
         assert verify_graph(from_json(to_json(built))).passed
         assert rotation_checks == []
+        assert not verify_graph(mutate(built, 0, "non-hypercube-edge")).passed
+        assert rotation_checks == [built.n]
+        rotation_checks.clear()
 
 
 def test_rotation_changed_after_loading_is_checked(dual8, rotation_checks):
     doc = to_json(dual8)
     bad = mutate(dual8, 0, "non-hypercube-edge").rotation
+    # A graph is frozen, so neither its rotation nor its n can change under
+    # the faces traced on loading.
     changed = from_json(doc)
-    changed.rotation = bad
-    copied = dataclasses.replace(from_json(doc), rotation=bad)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        changed.rotation = bad
     widened = from_json(doc)
-    widened.n = 9
-    mutated = mutate(from_json(doc), 5, "add-edge")
-    for g in (changed, copied, widened, mutated):
-        rotation_checks.clear()
-        assert not verify_graph(g).passed
-        assert rotation_checks == [g.n]
-    # The changed graph keeps the faces traced on loading, so only the
-    # rotation check stands between it and a stale PASS.
-    assert verify_graph(changed).checks == [
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        widened.n = 9
+    # A copy with another rotation starts untraced: no stale PASS.
+    copied = dataclasses.replace(from_json(doc), rotation=bad)
+    assert copied._faces is None
+    assert verify_graph(copied).checks == [
         CheckResult("rotation-consistent", False, "(0x3, 0x0) is not a hypercube edge")
+    ]
+    assert rotation_checks == [8]
+    rotation_checks.clear()
+    mutated = mutate(from_json(doc), 5, "add-edge")
+    assert not verify_graph(mutated).passed
+    assert rotation_checks == []
+
+
+def with_vertex_above_n(g: PlaneDualGraph, first: bool) -> PlaneDualGraph:
+    """g with the vertex 2^n joined both ways to 0, listed first or last."""
+    w = 1 << g.n
+    rotation = {u: list(nbrs) for u, nbrs in g.rotation.items()}
+    rotation[0].append(w)
+    rotation = {w: [0], **rotation} if first else {**rotation, w: [0]}
+    return dataclasses.replace(g, rotation=rotation)
+
+
+@pytest.mark.parametrize(
+    "first, witness",
+    [
+        (True, "vertex 0x100 has bits above dimension 8"),
+        (False, "edge (0x100, 0x0) has direction above 8"),
+    ],
+)
+def test_masks_above_n_are_named(dual8, first, witness):
+    # rotation_problems names the first defect in rotation order: the new
+    # vertex itself when it comes first, else the edge from 0 to it.
+    g = with_vertex_above_n(dual8, first)
+    assert verify_graph(g).checks == [CheckResult("rotation-consistent", False, witness)]
+    doc = to_json(dual8)
+    doc["rotation"] = {str(u): nbrs for u, nbrs in g.rotation.items()}
+    with pytest.raises(DocumentError) as caught:
+        from_json(doc)
+    assert str(caught.value) == f"document rotation is inconsistent: {witness}"
+
+
+def test_masks_past_the_cap_fail_the_rotation_check():
+    # rotation_problems finds nothing wrong at n = 33, so the trace's own
+    # message is the witness.
+    far = 1 << 32
+    g = PlaneDualGraph(33, {0: [1, far], 1: [0], far: [0]}, (0, 1))
+    assert verify_graph(g).checks == [
+        CheckResult("rotation-consistent", False, "vertex masks must lie in [0, 2^32)")
     ]
 
 
