@@ -152,7 +152,7 @@ def _concentric_graph(
     """
     prefixes = ring_prefixes(n)
     two_n = 2 * n
-    rotation: dict[int, list[int]] = {}
+    rotation: dict[int, tuple[int, ...]] = {}
     for base in ring_bases:
         ring = [base ^ m for m in prefixes]
         for p, v in enumerate(ring):
@@ -169,7 +169,7 @@ def _concentric_graph(
                 order.append(prv)
             if v in cross_out:
                 order.append(cross_out[v])
-            rotation[v] = order
+            rotation[v] = tuple(order)
     return PlaneDualGraph(
         n=n,
         rotation=rotation,

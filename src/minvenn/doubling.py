@@ -10,6 +10,7 @@ a diagram for every n >= 8.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .builder import BuildError, build_venn_dual
 from .hypercube import DEFAULT_CAP, MAX_DIMENSION
@@ -88,8 +89,10 @@ def _outer_colorful_face(g: PlaneDualGraph) -> tuple[tuple[int, ...], int] | Non
     return None if v is None else (verts, v)
 
 
-def _insert_after(lst: list[int], anchor: int, item: int) -> None:
-    lst.insert(lst.index(anchor) + 1, item)
+def _insert_after(row: tuple[int, ...], anchor: int, item: int) -> tuple[int, ...]:
+    """The row with item inserted just after anchor."""
+    i = row.index(anchor) + 1
+    return row[:i] + (item,) + row[i:]
 
 
 def _double(g: PlaneDualGraph, verts: tuple[int, ...], vertex: int) -> PlaneDualGraph:
@@ -97,18 +100,21 @@ def _double(g: PlaneDualGraph, verts: tuple[int, ...], vertex: int) -> PlaneDual
 
     The second copy carries element n+1 on every vertex and is mirrored (all
     rotations reversed).  It maps each vertex through one image dict, so each
-    new vertex is one int object wherever it is listed.
+    new vertex is one int object wherever it is listed.  The original copy
+    shares every tuple row of g except the two that take a joining edge
+    (tuple() of a tuple is that tuple); a hand-made list row is copied.
     """
     n = g.n
     if n + 1 > MAX_DIMENSION:
         raise DoublingError(f"doubling past dimension {MAX_DIMENSION} is unsupported")
     bit = 1 << n
     image = {v: v | bit for v in g.rotation}
+    mirror = image.__getitem__
 
-    rotation: dict[int, list[int]] = {}
+    rotation: dict[int, tuple[int, ...]] = {}
     for v, nbrs in g.rotation.items():
-        rotation[v] = list(nbrs)
-        rotation[image[v]] = [image[u] for u in reversed(nbrs)]
+        rotation[v] = tuple(nbrs)
+        rotation[image[v]] = tuple(map(mirror, reversed(nbrs)))
 
     complement = vertex ^ ((1 << n) - 1)
     length = len(verts)
@@ -117,10 +123,13 @@ def _double(g: PlaneDualGraph, verts: tuple[int, ...], vertex: int) -> PlaneDual
     # Each new edge sits in the face corner it splits: after the walk
     # predecessor in the original copy, after the walk successor's image in
     # the mirrored copy.
-    _insert_after(rotation[vertex], verts[(i - 1) % length], image[vertex])
-    _insert_after(rotation[complement], verts[(j - 1) % length], image[complement])
-    _insert_after(rotation[image[vertex]], image[verts[(i + 1) % length]], vertex)
-    _insert_after(rotation[image[complement]], image[verts[(j + 1) % length]], complement)
+    for v, anchor, item in (
+        (vertex, verts[(i - 1) % length], image[vertex]),
+        (complement, verts[(j - 1) % length], image[complement]),
+        (image[vertex], image[verts[(i + 1) % length]], vertex),
+        (image[complement], image[verts[(j + 1) % length]], complement),
+    ):
+        rotation[v] = _insert_after(rotation[v], anchor, item)
 
     construction = None
     if g.construction is not None:
@@ -151,14 +160,25 @@ def double(g: PlaneDualGraph) -> PlaneDualGraph:
     return out
 
 
+@lru_cache(maxsize=None)
+def _base(k: int) -> PlaneDualGraph:
+    """The 2^k build, kept for the life of the process.
+
+    Its fields are frozen and its rows are tuples, so every build_venn call
+    with this k can double from the same graph.  build_venn has checked its
+    cap, so 2^k is within it and the cap cannot change the graph.
+    """
+    return build_venn_dual(k, cap=1 << k)
+
+
 def build_venn(n_total: int, cap: int = DEFAULT_CAP) -> PlaneDualGraph:
     """Dual graph of an n-Venn diagram for any n >= 8.
 
-    Builds the largest power-of-two instance at or below n and doubles the
-    remaining m = n - 2^k times.  Each colorful face is the outer face,
-    found by one walk from outer_edge; only the base (whose trace the build
-    has cached) and the graph returned are traced, and the returned graph
-    must have 2^m times the base's faces.
+    Starts from the largest power-of-two instance at or below n, built once
+    per process (see _base), and doubles the remaining m = n - 2^k times.
+    Each colorful face is the outer face, found by one walk from outer_edge;
+    only the base (whose trace the build has cached) and the graph returned
+    are traced, and the returned graph must have 2^m times the base's faces.
     """
     if n_total < 8:
         raise BuildError(f"need n >= 8, got {n_total}")
@@ -166,7 +186,7 @@ def build_venn(n_total: int, cap: int = DEFAULT_CAP) -> PlaneDualGraph:
         raise BuildError(f"n={n_total} exceeds the materialization cap {cap}")
     k = n_total.bit_length() - 1
     m = n_total - (1 << k)
-    g = build_venn_dual(k, cap=cap)
+    g = _base(k)
     want = len(trace_faces(g)) << m
     for _ in range(m):
         found = _outer_colorful_face(g)

@@ -86,7 +86,7 @@ def _int_lists(values) -> bool:
 
 
 def _vertex_table(table, field: str, what: str) -> dict:
-    """A {vertex: [int, ...]} object keyed by vertex number, each key as str() writes it."""
+    """A {vertex: (int, ...)} table keyed by vertex number, each key as str() writes it."""
     _require(
         isinstance(table, dict) and _int_lists(table.values()),
         f"{field} must map each vertex to {what}",
@@ -96,7 +96,7 @@ def _vertex_table(table, field: str, what: str) -> dict:
     except (TypeError, ValueError):
         keys = []
     _require(list(map(str, keys)) == list(table), f"{field} has a key that is not a vertex number")
-    return dict(zip(keys, map(list, table.values())))
+    return dict(zip(keys, map(tuple, table.values())))
 
 
 def from_json(doc: dict) -> PlaneDualGraph:

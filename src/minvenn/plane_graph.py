@@ -39,11 +39,13 @@ class Face:
 class PlaneDualGraph:
     """A plane spanning subgraph of Q_n, the dual of a Venn diagram.
 
-    rotation maps each vertex bitmask to the cyclic list of its neighbors.
+    rotation maps each vertex bitmask to the cyclic tuple of its neighbors.
     outer_edge is a directed edge whose traced face is the outer face; the
     trace caches the faces and that face's index, nothing per edge, so the
-    rotation lists must not be edited in place: dataclasses.replace makes
-    an untraced copy with another rotation.
+    rows must not be edited in place.  Every graph the library builds or
+    loads has tuple rows, which cannot be, and a doubled graph shares the
+    rows it leaves alone; dataclasses.replace makes an untraced copy with
+    another rotation.  The trace only reads rows, so hand-made list rows work.
     construction records (k, m) for graphs built here: a power-of-two base
     build with k levels, doubled m times.  ring_bases lists the base vertex
     of each concentric ring, outermost first, for concentric builds (ring
@@ -51,7 +53,7 @@ class PlaneDualGraph:
     """
 
     n: int
-    rotation: dict[int, list[int]]
+    rotation: dict[int, tuple[int, ...]]
     outer_edge: tuple[int, int]
     construction: tuple[int, int] | None = None
     ring_bases: tuple[int, ...] | None = None
@@ -150,7 +152,7 @@ def crossing_count(g: PlaneDualGraph) -> int:
     return len(trace_faces(g))
 
 
-def rotation_problems(rotation: dict[int, list[int]], n: int) -> list[str]:
+def rotation_problems(rotation: dict[int, tuple[int, ...]], n: int) -> list[str]:
     """Structural defects of the rotation, as readable strings, once a trace has raised."""
     problems = []
     for v, nbrs in rotation.items():

@@ -143,7 +143,7 @@ def check_spanning(g: PlaneDualGraph) -> CheckResult:
     return CheckResult("spanning", False, f"vertex {stray:#x} outside Q_{g.n}")
 
 
-def _component_roots(rotation: dict[int, list[int]], skip_bit: int) -> list[int]:
+def _component_roots(rotation: dict[int, tuple[int, ...]], skip_bit: int) -> list[int]:
     """First vertex reached in each component, leaving out edges u, v with u ^ v == skip_bit.
 
     skip_bit 0 keeps every edge.  One iterative walk over a consistent

@@ -165,7 +165,15 @@ def test_outer_walk_rejects_an_outer_face_that_is_not_colorful(dual8):
     assert doubling._outer_colorful_face(dataclasses.replace(dual8, outer_edge=(0, 255))) is None
 
 
-def test_build_venn_raises_when_the_outer_face_is_not_colorful(monkeypatch, dual8):
+@pytest.fixture
+def fresh_bases():
+    """An empty base cache, emptied again afterwards so that no patched base outlives the test."""
+    doubling._base.cache_clear()
+    yield
+    doubling._base.cache_clear()
+
+
+def test_build_venn_raises_when_the_outer_face_is_not_colorful(monkeypatch, dual8, fresh_bases):
     short = next(f for f in trace_faces(dual8) if len(f) == 10)
     rerooted = dataclasses.replace(dual8, outer_edge=short.vertices[:2])
     monkeypatch.setattr(doubling, "build_venn_dual", lambda k, cap: rerooted)
@@ -191,7 +199,17 @@ def test_mirrored_copy_lists_each_vertex_as_one_object(dual8):
         assert all(u is keys[u] for u in d.rotation[v] if u & bit)
 
 
-def test_build_venn_traces_the_base_and_the_result_only(monkeypatch):
+def test_doubled_graph_shares_every_row_it_leaves_alone(dual8):
+    rows = {v: list(nbrs) for v, nbrs in dual8.rotation.items()}
+    cf = find_colorful_face(dual8)
+    d = double(dual8)
+    shared = {v for v in dual8.rotation if d.rotation[v] is dual8.rotation[v]}
+    # only the two vertices that take a joining edge get new rows
+    assert dual8.rotation.keys() - shared == {cf.vertex, cf.complement}
+    assert {v: list(nbrs) for v, nbrs in dual8.rotation.items()} == rows
+
+
+def test_build_venn_traces_the_base_and_the_result_only(monkeypatch, fresh_bases):
     traced = []
     real = plane_graph.trace_faces
 
@@ -205,6 +223,30 @@ def test_build_venn_traces_the_base_and_the_result_only(monkeypatch):
     g = build_venn(12)
     assert [(t.n, t.construction) for t in traced] == [(8, (3, 0)), (12, (3, 4))]
     assert traced[1] is g
+
+
+def test_build_venn_builds_each_base_once_per_process(monkeypatch, fresh_bases):
+    built = []
+    real = doubling.build_venn_dual
+
+    def counting(k, **kwargs):
+        built.append(k)
+        return real(k, **kwargs)
+
+    monkeypatch.setattr(doubling, "build_venn_dual", counting)
+    ns = range(8, 18)
+    warm = [build_venn(n, cap=17) for n in ns]
+    assert built == [3, 4]
+    assert build_venn(16) is build_venn(16)
+    for n, g in zip(ns, warm):
+        doubling._base.cache_clear()
+        cold = build_venn(n, cap=17)
+        assert cold.rotation == g.rotation
+        assert cold.outer_edge == g.outer_edge
+        assert cold.construction == g.construction
+        assert cold.ring_bases == g.ring_bases
+        assert trace_faces(cold) == trace_faces(g)
+    assert len(built) == 12  # one base per cold build
 
 
 def test_build_venn_guards():
@@ -222,7 +264,7 @@ from minvenn.doubling import double
 from minvenn.plane_graph import InconsistentRotation, PlaneDualGraph, crossing_count, trace_faces
 
 g = build_venn_dual(3)
-assert g.rotation[0] == [1, 4, 128]
+assert g.rotation[0] == (1, 4, 128)
 for call in (trace_faces, crossing_count, double):
     rotation = dict(g.rotation)
     rotation[0] = [1, 4, 1, 128]

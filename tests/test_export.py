@@ -35,7 +35,7 @@ def _single_ring_graph(n):
     ring = ring_prefixes(n)
     two_n = 2 * n
     rotation = {
-        v: [ring[(i + 1) % two_n], ring[(i - 1) % two_n]] for i, v in enumerate(ring)
+        v: (ring[(i + 1) % two_n], ring[(i - 1) % two_n]) for i, v in enumerate(ring)
     }
     return PlaneDualGraph(n=n, rotation=rotation, outer_edge=(ring[0], ring[1]))
 

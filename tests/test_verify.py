@@ -6,6 +6,7 @@ import pytest
 import verify_oracle as oracle
 from minvenn import export, verify
 from minvenn.builder import partition_preview_graph
+from minvenn.doubling import build_venn
 from minvenn.export import DocumentError, from_json, to_json
 from minvenn.plane_graph import PlaneDualGraph, trace_faces
 from minvenn.verify import (
@@ -267,6 +268,23 @@ def test_rotation_changed_after_loading_is_checked(dual8, rotation_checks):
     mutated = mutate(from_json(doc), 5, "add-edge")
     assert not verify_graph(mutated).passed
     assert rotation_checks == []
+
+
+@pytest.mark.parametrize("source", ["build_venn_dual", "build_venn", "from_json"])
+def test_rows_cannot_be_edited_in_place(dual8, source):
+    # Swapping the first two neighbors of a traced graph's vertex in place
+    # would leave its cached faces stale, and verify_graph would pass it.
+    g = {
+        "build_venn_dual": lambda: dual8,
+        "build_venn": lambda: build_venn(9),
+        "from_json": lambda: from_json(to_json(dual8)),
+    }[source]()
+    faces = trace_faces(g)
+    for nbrs in g.rotation.values():
+        with pytest.raises(TypeError):
+            nbrs[0], nbrs[1] = nbrs[1], nbrs[0]
+    assert trace_faces(g) is faces
+    assert verify_graph(g).passed
 
 
 def with_vertex_above_n(g: PlaneDualGraph, first: bool) -> PlaneDualGraph:
