@@ -1,9 +1,9 @@
 """Bases of the cycle-partition subspace, the partition itself, and cross edges.
 
-Two bases of the same GF(2) subspace are built over the ground set [2^k]:
-the classic one (basis_B) and a variant (basis_C) that maximizes the number
-of 2-sets {a, a+2}.  Spanning the latter yields translates of one isometric
-2n-cycle that partition the vertex set of Q_n for n = 2^k.  The edge sets
+The basis basis_C of a GF(2) subspace over the ground set [2^k] maximizes
+the number of 2-sets {a, a+2}; it spans the same subspace as the classic
+basis B.  Spanning it yields translates of one isometric 2n-cycle that
+partition the vertex set of Q_n for n = 2^k.  The edge sets
 between two cycles whose translates differ by a basis element feed both the
 long-run Gray code and the concentric diagram builder.
 """
@@ -12,16 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .hypercube import (
-    DEFAULT_CAP,
-    MAX_LEVEL,
-    Path,
-    elements_of,
-    in_span,
-    mask_of,
-    rank_gf2,
-    span,
-)
+from .hypercube import DEFAULT_CAP, MAX_LEVEL, mask_of, span
 
 
 @dataclass(frozen=True)
@@ -31,26 +22,12 @@ class Basis:
     k: int
     elements: tuple[int, ...]
 
-    @property
-    def ground_n(self) -> int:
-        return 1 << self.k
-
 
 def _check_level(k: int) -> None:
     if k < 1:
         raise ValueError(f"basis level must be >= 1, got {k}")
     if k > MAX_LEVEL:
         raise ValueError(f"ground set 2^{k} exceeds the {1 << MAX_LEVEL}-bit mask model")
-
-
-def basis_B(k: int) -> Basis:
-    """Classic basis: level k adds {i, 2^(k-1)+i} for 1 <= i <= 2^(k-1)-1."""
-    _check_level(k)
-    pairs: list[tuple[int, int]] = []
-    for level in range(2, k + 1):
-        half = 1 << (level - 1)
-        pairs.extend((i, half + i) for i in range(1, half))
-    return Basis(k, tuple(map(mask_of, pairs)))
 
 
 def _o_pairs(k: int) -> list[tuple[int, int]]:
@@ -63,50 +40,10 @@ def _c_pairs(k: int) -> list[tuple[int, int]]:
     return _o_pairs(k) + [(2 * a, 2 * b) for a, b in _c_pairs(k - 1)]
 
 
-def basis_O(k: int) -> Basis:
-    """The odd chain {1,3}, {3,5}, ..., {2^k-3, 2^k-1}."""
-    _check_level(k)
-    return Basis(k, tuple(map(mask_of, _o_pairs(k))))
-
-
 def basis_C(k: int) -> Basis:
     """Alternative basis: the odd chain followed by the doubled level below it."""
     _check_level(k)
     return Basis(k, tuple(map(mask_of, _c_pairs(k))))
-
-
-def check_pairwise_distinct_endpoints(basis: Basis) -> bool:
-    """All minima pairwise distinct and all maxima pairwise distinct."""
-    lows = []
-    highs = []
-    for e in basis.elements:
-        elems = elements_of(e)
-        if len(elems) != 2:
-            raise ValueError(f"basis element {elems} is not a 2-set")
-        lows.append(elems[0])
-        highs.append(elems[1])
-    return len(set(lows)) == len(lows) and len(set(highs)) == len(highs)
-
-
-def spans_equal(b1: Basis, b2: Basis) -> bool:
-    """Whether both bases generate the same GF(2) subspace.
-
-    Membership is decided by elimination, so the spans are never materialized.
-    """
-    if b1.ground_n != b2.ground_n:
-        raise ValueError("bases live over different ground sets")
-    if rank_gf2(b1.elements) != rank_gf2(b2.elements):
-        return False
-    return all(in_span(e, b2.elements) for e in b1.elements)
-
-
-def ramras_path(x: int, n: int) -> Path:
-    """The isometric path of length n-1 in Q_{n-1} through x with flips (1, ..., n-1)."""
-    if n < 2:
-        raise ValueError(f"need n >= 2, got {n}")
-    if x >> (n - 1):
-        raise ValueError(f"start {x:#x} uses elements >= {n}")
-    return Path(x, tuple(range(1, n)))
 
 
 def partition_cycles(k: int) -> list[list[int]]:
@@ -194,4 +131,3 @@ def cross_edges(x: int, a: int, b: int, kind: str, n: int) -> tuple[tuple[int, i
             (u(a), w(a - 1)),
         )
     raise ValueError(f"unknown cross edge kind {kind!r}")
-

@@ -26,7 +26,7 @@ from .export import (
     to_dot,
     to_json,
 )
-from .hypercube import DEFAULT_CAP, MAX_CAP
+from .hypercube import DEFAULT_CAP, MAX_CAP, MAX_DIMENSION
 from .runs import mu, product_path, run_partition
 from .verify import expected_crossings, lower_bound, monotone_reference, verify_graph
 
@@ -110,6 +110,8 @@ def _cmd_stats(args, parser) -> int:
     _check_out(args.out, parser)
     if args.n_max < 1:
         parser.error("--n-max must be >= 1")
+    if args.n_max > MAX_DIMENSION:
+        parser.error(f"--n-max at most {MAX_DIMENSION}")
     rows = ["   n   lower_bound   constructed      monotone"]
     for n in range(1, args.n_max + 1):
         bound = 0 if n == 1 else lower_bound(n)

@@ -9,57 +9,29 @@ a diagram for every n >= 8.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 from .builder import BuildError, build_venn_dual
 from .hypercube import DEFAULT_CAP, MAX_DIMENSION
-from .plane_graph import Face, PlaneDualGraph, trace_faces
+from .plane_graph import PlaneDualGraph, trace_faces
 
 
 class DoublingError(ValueError):
-    """The graph cannot be doubled (typically: no colorful face)."""
+    """The graph cannot be doubled (typically: its outer face is not colorful)."""
 
 
-@dataclass(frozen=True)
-class ColorfulFace:
-    """A length-2n face with an antipodal vertex pair on it."""
-
-    index: int
-    face: Face
-    vertex: int
-    complement: int
-
-
-def _colorful_vertex(face: Face, n: int) -> int | None:
-    """Lexicographically smallest vertex of the face whose complement is also on it."""
-    if len(face) != 2 * n:
+def _colorful_vertex(verts: tuple[int, ...], n: int) -> int | None:
+    """Smallest vertex of the face walk verts whose complement is also on it."""
+    if len(verts) != 2 * n:
         return None
-    verts = face.vertices
-    if len(set(verts)) != len(verts):
+    members = set(verts)
+    if len(members) != len(verts):
         return None
     full = (1 << n) - 1
-    members = set(verts)
-    for v in sorted(members):
-        if (v ^ full) in members:
-            return v
-    return None
+    return min((v for v in members if v ^ full in members), default=None)
 
 
-def find_colorful_face(g: PlaneDualGraph) -> ColorfulFace | None:
-    """A colorful face of the graph, preferring the designated outer face."""
-    faces = trace_faces(g)
-    outer = g.outer_face_index()
-    order = [outer] + [i for i in range(len(faces)) if i != outer]
-    full = (1 << g.n) - 1
-    for idx in order:
-        v = _colorful_vertex(faces[idx], g.n)
-        if v is not None:
-            return ColorfulFace(index=idx, face=faces[idx], vertex=v, complement=v ^ full)
-    return None
-
-
-def _outer_colorful_face(g: PlaneDualGraph) -> tuple[tuple[int, ...], int] | None:
+def find_colorful_face(g: PlaneDualGraph) -> tuple[tuple[int, ...], int] | None:
     """The outer face's vertex walk and its colorful vertex, by one walk of at most 2n steps.
 
     The walk starts on outer_edge and follows the same next-edge rule as the
@@ -85,7 +57,7 @@ def _outer_colorful_face(g: PlaneDualGraph) -> tuple[tuple[int, ...], int] | Non
     if (a, s) != (start, first):
         return None
     verts = tuple(walk)
-    v = _colorful_vertex(Face(verts, ()), g.n)
+    v = _colorful_vertex(verts, g.n)
     return None if v is None else (verts, v)
 
 
@@ -142,22 +114,32 @@ def _double(g: PlaneDualGraph, verts: tuple[int, ...], vertex: int) -> PlaneDual
     )
 
 
+def _doubled(g: PlaneDualGraph, m: int) -> PlaneDualGraph:
+    """g doubled m times, each time through its outer face, found by find_colorful_face.
+
+    Only g (a base build has cached its trace) and the result are traced, and
+    the result must have 2^m times g's faces.
+    """
+    want = len(trace_faces(g)) << m
+    g.outer_face_index()  # InconsistentRotation if outer_edge is not in the rotation
+    for _ in range(m):
+        found = find_colorful_face(g)
+        if found is None:
+            raise DoublingError(f"the outer face of the n={g.n} graph is not colorful")
+        g = _double(g, *found)
+    got = len(trace_faces(g))
+    if got != want:
+        raise DoublingError(f"doubling produced {got} faces, expected {want}")
+    return g
+
+
 def double(g: PlaneDualGraph) -> PlaneDualGraph:
     """An (n+1)-dimensional dual with exactly twice as many faces.
 
-    The copies are joined by two edges at an antipodal pair on a colorful
-    face (see _double).  The new graph again has a colorful outer face, so
-    doubling can be iterated.  Both graphs are traced to check the face count.
+    g's outer face must be colorful (see _double).  The new graph's outer
+    face is again colorful, so doubling can be iterated.
     """
-    cf = find_colorful_face(g)
-    if cf is None:
-        raise DoublingError("graph has no colorful face")
-    out = _double(g, cf.face.vertices, cf.vertex)
-    before = len(trace_faces(g))
-    after = len(trace_faces(out))
-    if after != 2 * before:
-        raise DoublingError(f"doubling produced {after} faces, expected {2 * before}")
-    return out
+    return _doubled(g, 1)
 
 
 @lru_cache(maxsize=None)
@@ -175,25 +157,12 @@ def build_venn(n_total: int, cap: int = DEFAULT_CAP) -> PlaneDualGraph:
     """Dual graph of an n-Venn diagram for any n >= 8.
 
     Starts from the largest power-of-two instance at or below n, built once
-    per process (see _base), and doubles the remaining m = n - 2^k times.
-    Each colorful face is the outer face, found by one walk from outer_edge;
-    only the base (whose trace the build has cached) and the graph returned
-    are traced, and the returned graph must have 2^m times the base's faces.
+    per process (see _base), and doubles it the remaining m = n - 2^k times
+    (see _doubled).
     """
     if n_total < 8:
         raise BuildError(f"need n >= 8, got {n_total}")
     if n_total > cap:
         raise BuildError(f"n={n_total} exceeds the materialization cap {cap}")
     k = n_total.bit_length() - 1
-    m = n_total - (1 << k)
-    g = _base(k)
-    want = len(trace_faces(g)) << m
-    for _ in range(m):
-        found = _outer_colorful_face(g)
-        if found is None:
-            raise DoublingError(f"the outer face of the n={g.n} graph is not colorful")
-        g = _double(g, *found)
-    got = len(trace_faces(g))
-    if got != want:
-        raise DoublingError(f"doubling produced {got} faces, expected {want}")
-    return g
+    return _doubled(_base(k), n_total - (1 << k))

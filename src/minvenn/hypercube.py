@@ -1,4 +1,4 @@
-"""Bitmask model of the hypercube Q_n: subsets of [n], GF(2) algebra, walks.
+"""Bitmask model of the hypercube Q_n: subsets of [n], paths and GF(2) spans.
 
 A vertex of Q_n is a subset of [n] = {1, ..., n}, stored as an int bitmask
 with element i on bit i-1.  Two vertices are adjacent when they differ in a
@@ -61,36 +61,6 @@ def edge_direction(u: int, v: int) -> int:
     return diff.bit_length()
 
 
-def walk(start: int, flips: Sequence[int]) -> list[int]:
-    """Vertex sequence v_0 = start, v_j = v_{j-1} (+) {flip_j}."""
-    out = [start]
-    bits = start
-    for f in flips:
-        bits ^= 1 << (f - 1)
-        out.append(bits)
-    return out
-
-
-def is_isometric_path(flips: Sequence[int]) -> bool:
-    """Whether a path with these flips is distance-preserving: no direction repeats."""
-    return len(set(flips)) == len(flips)
-
-
-def is_isometric_cycle(flips: Sequence[int]) -> bool:
-    """Whether a closed walk with these flips is distance-preserving in Q_n.
-
-    Every direction must occur 0 or 2 times, with the two occurrences lying
-    oppositely on the cycle; such a walk always closes up.
-    """
-    length = len(flips)
-    positions: dict[int, list[int]] = {}
-    for idx, f in enumerate(flips):
-        positions.setdefault(f, []).append(idx)
-    return all(
-        len(idxs) == 2 and idxs[1] - idxs[0] == length // 2 for idxs in positions.values()
-    )
-
-
 def span(masks: Sequence[int]) -> list[int]:
     """Sorted list of all GF(2) combinations of the masks, materialized eagerly.
 
@@ -104,36 +74,3 @@ def span(masks: Sequence[int]) -> list[int]:
     for m in masks:
         out |= {s ^ m for s in out}
     return sorted(out)
-
-
-def _insert_pivot(pivots: dict[int, int], mask: int) -> bool:
-    """Reduce mask against the pivot table; insert the remainder if nonzero."""
-    cur = mask
-    while cur:
-        lead = cur.bit_length() - 1
-        if lead in pivots:
-            cur ^= pivots[lead]
-        else:
-            pivots[lead] = cur
-            return True
-    return False
-
-
-def rank_gf2(vectors: Sequence[int]) -> int:
-    """GF(2) rank of the masks viewed as characteristic vectors."""
-    pivots: dict[int, int] = {}
-    return sum(_insert_pivot(pivots, v) for v in vectors)
-
-
-def in_span(vec: int, basis: Sequence[int]) -> bool:
-    """GF(2) membership test via elimination, without materializing the span."""
-    pivots: dict[int, int] = {}
-    for b in basis:
-        _insert_pivot(pivots, b)
-    cur = vec
-    while cur:
-        lead = cur.bit_length() - 1
-        if lead not in pivots:
-            return False
-        cur ^= pivots[lead]
-    return True

@@ -41,11 +41,12 @@ class PlaneDualGraph:
 
     rotation maps each vertex bitmask to the cyclic tuple of its neighbors.
     outer_edge is a directed edge whose traced face is the outer face; the
-    trace caches the faces and that face's index, nothing per edge, so the
-    rows must not be edited in place.  Every graph the library builds or
-    loads has tuple rows, which cannot be, and a doubled graph shares the
-    rows it leaves alone; dataclasses.replace makes an untraced copy with
-    another rotation.  The trace only reads rows, so hand-made list rows work.
+    trace caches the faces, as a tuple, and that face's index, nothing per
+    edge, so the rotation must not be changed in place: build_venn(2^k)
+    returns one graph per process, and a doubled graph shares the rows it
+    leaves alone.  Every graph the library builds or loads has tuple rows;
+    dataclasses.replace makes an untraced copy with another rotation.  The
+    trace only reads rows, so hand-made list rows work.
     construction records (k, m) for graphs built here: a power-of-two base
     build with k levels, doubled m times.  ring_bases lists the base vertex
     of each concentric ring, outermost first, for concentric builds (ring
@@ -57,7 +58,7 @@ class PlaneDualGraph:
     outer_edge: tuple[int, int]
     construction: tuple[int, int] | None = None
     ring_bases: tuple[int, ...] | None = None
-    _faces: list[Face] | None = field(default=None, init=False, repr=False, compare=False)
+    _faces: tuple[Face, ...] | None = field(default=None, init=False, repr=False, compare=False)
     _outer_face: int | None = field(default=None, init=False, repr=False, compare=False)
 
     def vertices(self) -> list[int]:
@@ -85,8 +86,11 @@ class PlaneDualGraph:
         return self._outer_face
 
 
-def trace_faces(g: PlaneDualGraph) -> list[Face]:
-    """All faces of the embedding; each directed edge is used exactly once."""
+def trace_faces(g: PlaneDualGraph) -> tuple[Face, ...]:
+    """All faces of the embedding; each directed edge is used exactly once.
+
+    The tuple is cached on g and handed to every caller, so none can change it.
+    """
     if g._faces is not None:
         return g._faces
     rotation, n = g.rotation, g.n
@@ -142,9 +146,9 @@ def trace_faces(g: PlaneDualGraph) -> list[Face]:
             if outer is None and done.get(ou, 0) & outer_bit:
                 outer = len(faces)
             faces.append(Face(tuple(walk), tuple(map(int.bit_length, diffs))))
-    object.__setattr__(g, "_faces", faces)
+    object.__setattr__(g, "_faces", tuple(faces))
     object.__setattr__(g, "_outer_face", outer)
-    return faces
+    return g._faces
 
 
 def crossing_count(g: PlaneDualGraph) -> int:

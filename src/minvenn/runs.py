@@ -134,25 +134,6 @@ def brgc(n: int) -> tuple[int, ...]:
     return tuple((j & -j).bit_length() for j in range(1, 1 << n))
 
 
-def is_hamiltonian_path(seq: tuple[int, ...], n: int) -> bool:
-    """Whether walking seq from the empty set visits all 2^n vertices once."""
-    if n > MAX_CAP:
-        raise ValueError(f"Q_{n} walk exceeds cap {MAX_CAP}")
-    if len(seq) != (1 << n) - 1:
-        return False
-    if any(not 1 <= f <= n for f in seq):
-        return False
-    visited = bytearray(1 << n)
-    v = 0
-    visited[0] = 1
-    for f in seq:
-        v ^= 1 << (f - 1)
-        if visited[v]:
-            return False
-        visited[v] = 1
-    return True
-
-
 def _longrun_coefficient_order(k: int) -> list[tuple[int, int]]:
     """Basis order for the long-run construction: {1,3}, {3,5}, {2,6} first."""
     pairs = _c_pairs(k)

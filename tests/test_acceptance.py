@@ -9,17 +9,11 @@ import random
 import resource
 import time
 
-from minvenn.bases import (
-    basis_B,
-    basis_C,
-    check_pairwise_distinct_endpoints,
-    partition_cycles,
-    ramras_path,
-    spans_equal,
-)
+from lemmas import basis_B, check_pairwise_distinct_endpoints, ramras_path, spans_equal, walk
+from minvenn.bases import basis_C, partition_cycles
 from minvenn.builder import check_face_catalog
 from minvenn.cli import main
-from minvenn.hypercube import span, walk
+from minvenn.hypercube import span
 from minvenn.plane_graph import crossing_count
 from minvenn.runs import longrun_path, mu, product_path, run_partition
 from minvenn.verify import expected_crossings, lower_bound, verify_graph

@@ -1,18 +1,17 @@
 import pytest
 
-from minvenn.bases import (
-    Basis,
+from lemmas import (
     basis_B,
-    basis_C,
     basis_O,
     check_pairwise_distinct_endpoints,
-    cross_edges,
-    partition_cycles,
+    is_isometric_cycle,
     ramras_path,
-    ring_prefixes,
+    rank_gf2,
     spans_equal,
+    walk,
 )
-from minvenn.hypercube import edge_direction, elements_of, is_isometric_cycle, mask_of, span, walk
+from minvenn.bases import Basis, basis_C, cross_edges, partition_cycles, ring_prefixes
+from minvenn.hypercube import edge_direction, elements_of, mask_of, span
 
 
 def pairs(basis):
@@ -77,8 +76,6 @@ def test_spans_equal_for_both_bases(k):
 
 @pytest.mark.parametrize("k", range(1, 6))
 def test_rank_of_both_bases(k):
-    from minvenn.hypercube import rank_gf2
-
     want = (1 << k) - k - 1
     assert rank_gf2(basis_B(k).elements) == want
     assert rank_gf2(basis_C(k).elements) == want

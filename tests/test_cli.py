@@ -106,6 +106,13 @@ def test_stats_rows(capsys):
     assert row3.split() == ["3", "3", "-", "3"]
 
 
+def test_stats_refuses_n_max_past_the_dimension_cap(capsys):
+    code, out, err = run(capsys, ["stats", "--n-max", "33"])
+    assert code == 2 and out == ""
+    assert "--n-max at most 32" in err
+    assert run(capsys, ["stats", "--n-max", "32"])[0] == 0
+
+
 def test_gray_sequence_and_stats(capsys):
     code, out, _ = run(capsys, ["gray", "--k", "2", "--stats"])
     assert code == 0

@@ -10,17 +10,15 @@ import minvenn
 from minvenn import builder, doubling, plane_graph
 from minvenn.builder import BuildError
 from minvenn.doubling import DoublingError, build_venn, double, find_colorful_face
+from minvenn.hypercube import edge_direction
 from minvenn.plane_graph import InconsistentRotation, PlaneDualGraph, crossing_count, trace_faces
 from minvenn.verify import verify_graph
 
 
 def test_colorful_face_of_base_build(dual8):
-    g = dual8
-    cf = find_colorful_face(g)
-    assert cf is not None
-    assert cf.index == g.outer_face_index()
-    assert cf.vertex == 0 and cf.complement == 255
-    assert len(cf.face) == 16
+    verts, vertex = find_colorful_face(dual8)
+    assert vertex == 0 and 255 in verts
+    assert len(verts) == 16
 
 
 def test_short_faces_are_not_colorful(dual16):
@@ -28,7 +26,7 @@ def test_short_faces_are_not_colorful(dual16):
     from minvenn.doubling import _colorful_vertex
 
     short = next(f for f in trace_faces(g) if len(f) == 6)
-    assert _colorful_vertex(short, g.n) is None
+    assert _colorful_vertex(short.vertices, g.n) is None
 
 
 def test_double_counts(dual8):
@@ -45,20 +43,15 @@ def test_double_counts(dual8):
 def test_double_keeps_a_colorful_face(dual8):
     g = dual8
     d = double(g)
-    cf = find_colorful_face(d)
-    assert cf is not None
-    full9 = (1 << 9) - 1
-    assert cf.vertex ^ cf.complement == full9
-    members = set(cf.face.vertices)
-    assert cf.vertex in members and cf.complement in members
+    verts, vertex = find_colorful_face(d)
+    assert vertex in verts and vertex ^ ((1 << 9) - 1) in verts
 
 
 def test_colorful_face_halves_are_permutations(dual8):
     g = dual8
-    cf = find_colorful_face(g)
-    verts = cf.face.vertices
-    i, j = verts.index(cf.vertex), verts.index(cf.complement)
-    flips = cf.face.flips
+    verts, vertex = find_colorful_face(g)
+    i, j = verts.index(vertex), verts.index(vertex ^ 255)
+    flips = list(map(edge_direction, verts, verts[1:] + verts[:1]))
     length = len(flips)
     half1 = [flips[(i + t) % length] for t in range((j - i) % length)]
     half2 = [flips[(j + t) % length] for t in range((i - j) % length)]
@@ -66,26 +59,12 @@ def test_colorful_face_halves_are_permutations(dual8):
     assert sorted(half2) == list(range(1, 9))
 
 
-def test_double_through_non_outer_colorful_face(dual8):
-    # re-root the outer designation onto a short face; the scan must fall back
-    # to another colorful face and doubling must still work
-    g = dual8
-    faces = trace_faces(g)
-    short = next(f for f in faces if len(f) == 10)
-    rerooted = PlaneDualGraph(
-        n=g.n,
-        rotation=g.rotation,
-        outer_edge=(short.vertices[0], short.vertices[1]),
-        construction=g.construction,
-        ring_bases=g.ring_bases,
-    )
-    cf = find_colorful_face(rerooted)
-    assert cf is not None
-    assert len(cf.face) == 16
-    assert cf.index != rerooted.outer_face_index()
-    d = double(rerooted)
-    assert crossing_count(d) == 80
-    assert verify_graph(d).passed
+def test_double_raises_when_the_outer_face_is_not_colorful(dual8):
+    # dual8 has other colorful faces; double goes through the outer face only
+    short = next(f for f in trace_faces(dual8) if len(f) == 10)
+    rerooted = dataclasses.replace(dual8, outer_edge=short.vertices[:2])
+    with pytest.raises(DoublingError, match="outer face of the n=8 graph is not colorful"):
+        double(rerooted)
 
 
 def test_outer_edge_missing_from_the_rotation_raises(dual8):
@@ -149,20 +128,20 @@ def test_build_venn_matches_the_double_chain(doubling_chain, n):
 def test_outer_walk_finds_the_face_the_trace_finds(request, doubling_chain, base):
     graphs = doubling_chain.values() if base == "chain" else [request.getfixturevalue(base)]
     for g in graphs:
-        cf = find_colorful_face(g)
-        verts, v = doubling._outer_colorful_face(g)
-        assert cf.index == g.outer_face_index()
-        assert v == cf.vertex
+        verts, v = find_colorful_face(g)
+        face = trace_faces(g)[g.outer_face_index()].vertices
+        full = (1 << g.n) - 1
+        assert v == min(u for u in face if u ^ full in face)
         # the same closed walk, started on outer_edge instead of at its least vertex
-        i = cf.face.vertices.index(g.outer_edge[0])
-        assert verts == cf.face.vertices[i:] + cf.face.vertices[:i]
+        i = face.index(g.outer_edge[0])
+        assert verts == face[i:] + face[:i]
 
 
 def test_outer_walk_rejects_an_outer_face_that_is_not_colorful(dual8):
     short = next(f for f in trace_faces(dual8) if len(f) == 10)
     rerooted = dataclasses.replace(dual8, outer_edge=short.vertices[:2])
-    assert doubling._outer_colorful_face(rerooted) is None
-    assert doubling._outer_colorful_face(dataclasses.replace(dual8, outer_edge=(0, 255))) is None
+    assert find_colorful_face(rerooted) is None
+    assert find_colorful_face(dataclasses.replace(dual8, outer_edge=(0, 255))) is None
 
 
 @pytest.fixture
@@ -179,6 +158,13 @@ def test_build_venn_raises_when_the_outer_face_is_not_colorful(monkeypatch, dual
     monkeypatch.setattr(doubling, "build_venn_dual", lambda k, cap: rerooted)
     with pytest.raises(DoublingError, match="outer face of the n=8 graph is not colorful"):
         build_venn(9)
+
+
+def test_no_caller_can_change_the_shared_base_trace(fresh_bases):
+    faces = trace_faces(build_venn(8))
+    with pytest.raises(AttributeError):
+        faces.pop()
+    assert crossing_count(build_venn(9)) == 80
 
 
 def test_both_entry_points_check_the_face_count(monkeypatch, dual8):
@@ -201,11 +187,11 @@ def test_mirrored_copy_lists_each_vertex_as_one_object(dual8):
 
 def test_doubled_graph_shares_every_row_it_leaves_alone(dual8):
     rows = {v: list(nbrs) for v, nbrs in dual8.rotation.items()}
-    cf = find_colorful_face(dual8)
+    _, vertex = find_colorful_face(dual8)
     d = double(dual8)
     shared = {v for v in dual8.rotation if d.rotation[v] is dual8.rotation[v]}
     # only the two vertices that take a joining edge get new rows
-    assert dual8.rotation.keys() - shared == {cf.vertex, cf.complement}
+    assert dual8.rotation.keys() - shared == {vertex, vertex ^ 255}
     assert {v: list(nbrs) for v, nbrs in dual8.rotation.items()} == rows
 
 

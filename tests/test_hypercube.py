@@ -2,17 +2,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from minvenn.bases import basis_B, basis_C, partition_cycles, ring_prefixes
-from minvenn.hypercube import (
-    edge_direction,
-    in_span,
-    is_isometric_cycle,
-    is_isometric_path,
-    mask_of,
-    rank_gf2,
-    span,
-    walk,
-)
+from lemmas import basis_B, in_span, is_isometric_cycle, is_isometric_path, rank_gf2, walk
+from minvenn.bases import basis_C, partition_cycles, ring_prefixes
+from minvenn.hypercube import edge_direction, mask_of, span
 
 
 def test_antipode():

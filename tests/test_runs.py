@@ -2,17 +2,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from lemmas import is_hamiltonian_path
 from minvenn.hypercube import edge_direction, mask_of
-from minvenn.runs import (
-    DECREASING,
-    INCREASING,
-    brgc,
-    is_hamiltonian_path,
-    longrun_path,
-    mu,
-    product_path,
-    run_partition,
-)
+from minvenn.runs import DECREASING, INCREASING, brgc, longrun_path, mu, product_path, run_partition
 
 
 def test_run_partition_worked_example():

@@ -33,7 +33,7 @@ def outcome(trace, g: PlaneDualGraph):
 
 def library(g: PlaneDualGraph):
     faces = trace_faces(g)
-    return faces, g._outer_face
+    return list(faces), g._outer_face
 
 
 def assert_raised_iff_problems(g: PlaneDualGraph, raised: bool) -> None:
