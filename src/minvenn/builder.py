@@ -21,7 +21,7 @@ from functools import lru_cache
 from .bases import basis_C, cross_edges, ring_prefixes
 from .hypercube import DEFAULT_CAP, elements_of, span
 from .plane_graph import Face, PlaneDualGraph, crossing_count, trace_faces
-from .runs import INCREASING, longrun_path, product_path, run_partition
+from .runs import INCREASING, product_path, run_partition
 
 
 class BuildError(ValueError):
@@ -39,21 +39,11 @@ def coefficient_order(k: int) -> tuple[tuple[int, int], ...]:
 
 def driving_path(k: int):
     """Hamiltonian path over the 2^d coefficient tuples, rich in long runs."""
-    if k == 3:
-        return longrun_path(2)
     return product_path(k - 1, (1 << (k - 1)) - k - 1)
 
 
-def _edge_key(u: int, v: int) -> tuple[int, int]:
-    return (u, v) if u < v else (v, u)
-
-
 def build_venn_dual(
-    k: int,
-    *,
-    tie_break: str = "earlier",
-    cap: int = DEFAULT_CAP,
-    apply_removals: bool = True,
+    k: int, *, tie_break: str = "earlier", apply_removals: bool = True
 ) -> PlaneDualGraph:
     """Build the dual graph of an n-Venn diagram for n = 2^k, k >= 3.
 
@@ -63,17 +53,17 @@ def build_venn_dual(
     if k < 3:
         raise BuildError(f"need k >= 3, got {k}")
     n = 1 << k
-    if n > cap:
-        raise BuildError(f"n={n} exceeds the materialization cap {cap}")
+    if n > DEFAULT_CAP:
+        raise BuildError(f"n={n} exceeds the materialization cap {DEFAULT_CAP}")
     d = n - k - 1
     rho = n // 2 - 1
 
-    path = driving_path(k)
-    sigma = path.flips
+    sigma = driving_path(k).flips
     if any(not 1 <= s <= d for s in sigma):
         raise BuildError(f"driving path leaves Q_{d}")
     parts = run_partition(sigma, rho, tie_break=tie_break)
 
+    # For s <= rho the pair is {2s-1, 2s+1}, the odd chain's s-th element.
     coeffs = coefficient_order(k)
     cmasks = basis_C(k).elements
     xs = [0]
@@ -85,18 +75,16 @@ def build_venn_dual(
 
     cross_in: dict[int, int] = {}
     cross_out: dict[int, int] = {}
-    removed: set[tuple[int, int]] = set()
+    cut: set[int] = set()
     for t, s in enumerate(sigma):
         x = xs[t]
+        a, b = coeffs[s - 1]
         if s <= rho:
-            a = 2 * s - 1
-            orient = parts.runs[parts.run_index[t]].orientation
-            kind = "E_down" if orient == INCREASING else "E_up"
-            edges = cross_edges(x, a, a + 2, kind, n)
+            run = parts.runs[parts.run_index[t]]
+            kind = "E_down" if run.orientation == INCREASING else "E_up"
         else:
-            a, b = coeffs[s - 1]
-            edges = cross_edges(x, a, b, "E", n)
-        for u, v in edges:
+            kind = "E"
+        for u, v in cross_edges(x, a, b, kind, n):
             if u in cross_in or v in cross_out:
                 raise BuildError(f"cross edge endpoint collision at gap {t}")
             cross_in[u] = v
@@ -105,15 +93,13 @@ def build_venn_dual(
         if apply_removals and t >= 1:
             r_prev, r_cur = parts.run_index[t - 1], parts.run_index[t]
             if r_prev is not None and r_prev == r_cur:
-                if parts.runs[r_cur].orientation == INCREASING:
-                    a_rm = 2 * s - 1
-                else:
-                    a_rm = 2 * s + 1
-                removed.add(_edge_key(x ^ ((1 << (a_rm - 1)) - 1), x ^ ((1 << a_rm) - 1)))
+                # Cut ring x's edge from position a_rm - 1 to a_rm.
+                a_rm = a if parts.runs[r_cur].orientation == INCREASING else b
+                cut.add(x ^ ((1 << (a_rm - 1)) - 1))
 
-    g = _concentric_graph(xs, n, (k, 0), cross_in, cross_out, removed)
+    g = _concentric_graph(xs, n, (k, 0), cross_in, cross_out, cut)
     check_face_catalog(g)
-    expected = 2 + 4 * (nrings - 1) - parts.covered
+    expected = 2 + 4 * (nrings - 1) - parts.nu - parts.lam
     if apply_removals:
         expected -= parts.lam
     got = crossing_count(g)
@@ -142,13 +128,13 @@ def _concentric_graph(
     construction: tuple[int, int] | None,
     cross_in: dict[int, int],
     cross_out: dict[int, int],
-    removed: set[tuple[int, int]],
+    cut: set[int],
 ) -> PlaneDualGraph:
     """Nest the 2n-cycles through ring_bases, outermost first, into one plane graph.
 
     cross_in and cross_out map a vertex to its inward and outward cross edge
-    neighbor; ring edges in removed are left out.  The outer face is the
-    outermost ring.
+    neighbor; the ring edge from each vertex in cut to its ring successor is
+    left out.  The outer face is the outermost ring.
     """
     prefixes = ring_prefixes(n)
     two_n = 2 * n
@@ -161,11 +147,11 @@ def _concentric_graph(
             order = []
             nxt = ring[(p + 1) % two_n]
             prv = ring[(p - 1) % two_n]
-            if _edge_key(v, nxt) not in removed:
+            if v not in cut:
                 order.append(nxt)
             if v in cross_in:
                 order.append(cross_in[v])
-            if _edge_key(v, prv) not in removed:
+            if prv not in cut:
                 order.append(prv)
             if v in cross_out:
                 order.append(cross_out[v])

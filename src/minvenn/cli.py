@@ -166,6 +166,14 @@ def _cmd_partition(args, parser) -> int:
     return 0 if ok else 1
 
 
+class _Command(argparse.ArgumentParser):
+    """A subcommand's parser: its own usage line over a `minvenn: error: ...` line."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(2, f"minvenn: error: {message}\n")
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="minvenn",
@@ -175,7 +183,7 @@ def _build_parser() -> argparse.ArgumentParser:
             "there is no randomness to seed."
         ),
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=_Command)
 
     p_build = sub.add_parser("build", help="build the dual graph for n curves")
     p_build.add_argument("--n", type=int, required=True, help="number of curves (>= 8)")
@@ -191,31 +199,31 @@ def _build_parser() -> argparse.ArgumentParser:
         default=DEFAULT_CAP,
         help=f"materialization cap on n (default {DEFAULT_CAP}, max {MAX_CAP})",
     )
-    p_build.set_defaults(handler=_cmd_build)
+    p_build.set_defaults(handler=_cmd_build, parser=p_build)
 
     p_verify = sub.add_parser("verify", help="verify a JSON dual graph document")
     p_verify.add_argument("file")
     p_verify.add_argument("--json", action="store_true", help="emit the report as JSON")
     p_verify.add_argument("--out", help="write the JSON report here instead of stdout")
-    p_verify.set_defaults(handler=_cmd_verify)
+    p_verify.set_defaults(handler=_cmd_verify, parser=p_verify)
 
     p_stats = sub.add_parser("stats", help="crossing counts vs bounds per n")
     p_stats.add_argument("--n-max", type=int, default=16)
     p_stats.add_argument("--out")
-    p_stats.set_defaults(handler=_cmd_stats)
+    p_stats.set_defaults(handler=_cmd_stats, parser=p_stats)
 
     p_gray = sub.add_parser("gray", help="long-run Hamiltonian path flip sequences")
     p_gray.add_argument("--k", type=int, required=True, help="base dimension n = 2^k")
     p_gray.add_argument("--m", type=int, default=0, help="extra product dimensions")
     p_gray.add_argument("--stats", action="store_true", help="append nu/lambda/mu line")
     p_gray.add_argument("--out")
-    p_gray.set_defaults(handler=_cmd_gray)
+    p_gray.set_defaults(handler=_cmd_gray, parser=p_gray)
 
     p_part = sub.add_parser("partition", help="isometric cycle partition of Q_(2^k)")
     p_part.add_argument("--k", type=int, required=True)
     p_part.add_argument("--format", choices=("text", "svg-dual"), default="text")
     p_part.add_argument("--out")
-    p_part.set_defaults(handler=_cmd_partition)
+    p_part.set_defaults(handler=_cmd_partition, parser=p_part)
 
     return parser
 
@@ -224,7 +232,7 @@ def main(argv=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        return args.handler(args, parser)
+        return args.handler(args, args.parser)
     except SystemExit as exc:
         return int(exc.code) if exc.code is not None else 0
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 from functools import lru_cache
 
 from .builder import BuildError, build_venn_dual
-from .hypercube import DEFAULT_CAP, MAX_DIMENSION
+from .hypercube import DEFAULT_CAP, MAX_CAP, MAX_DIMENSION
 from .plane_graph import PlaneDualGraph, trace_faces
 
 
@@ -147,10 +147,9 @@ def _base(k: int) -> PlaneDualGraph:
     """The 2^k build, kept for the life of the process.
 
     Its fields are frozen and its rows are tuples, so every build_venn call
-    with this k can double from the same graph.  build_venn has checked its
-    cap, so 2^k is within it and the cap cannot change the graph.
+    with this k can double from the same graph.
     """
-    return build_venn_dual(k, cap=1 << k)
+    return build_venn_dual(k)
 
 
 def build_venn(n_total: int, cap: int = DEFAULT_CAP) -> PlaneDualGraph:
@@ -162,6 +161,8 @@ def build_venn(n_total: int, cap: int = DEFAULT_CAP) -> PlaneDualGraph:
     """
     if n_total < 8:
         raise BuildError(f"need n >= 8, got {n_total}")
+    if cap > MAX_CAP:
+        raise BuildError(f"cap={cap} exceeds the largest cap {MAX_CAP}")
     if n_total > cap:
         raise BuildError(f"n={n_total} exceeds the materialization cap {cap}")
     k = n_total.bit_length() - 1

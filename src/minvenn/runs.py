@@ -12,8 +12,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .bases import _c_pairs, cross_edges, ring_prefixes
-from .hypercube import DEFAULT_CAP, MAX_CAP, Path, edge_direction, mask_of, span
+from .bases import _c_pairs, cross_edges, partition_cycles
+from .hypercube import MAX_CAP, Path, edge_direction, mask_of
 
 INCREASING = "increasing"
 DECREASING = "decreasing"
@@ -44,11 +44,6 @@ class RunPartition:
     run_index: tuple[int | None, ...]
     nu: int
     lam: int
-
-    @property
-    def covered(self) -> int:
-        """Number of sequence entries that lie in some run (= nu + lam)."""
-        return self.nu + self.lam
 
 
 def _maximal_runs(entries: tuple[int, ...], rho: int) -> list[tuple[int, int, str]]:
@@ -169,19 +164,14 @@ def longrun_path(k: int) -> Path:
     n = 1 << k
     if k == 2:
         return Path(0, _Q4_LONGRUN)
-    if n > DEFAULT_CAP:
-        raise ValueError(f"Q_{n} exceeds the materialization cap {DEFAULT_CAP}")
     d = n - k - 1
     pairs = _longrun_coefficient_order(k)
     cmasks = [mask_of(p) for p in pairs]
 
     adj: dict[int, list[int]] = {}
-    prefixes = ring_prefixes(n)
-    two_n = 2 * n
-    for base in span(cmasks):
-        ring = [base ^ m for m in prefixes]
-        for t in range(two_n):
-            _toggle(adj, ring[t], ring[(t + 1) % two_n])
+    for ring in partition_cycles(k):
+        for u, v in zip(ring, ring[1:] + ring[:1]):
+            _toggle(adj, u, v)
 
     x = 0
     for s in brgc(d):

@@ -1,3 +1,4 @@
+import hashlib
 import tracemalloc
 from collections import Counter
 
@@ -16,7 +17,7 @@ from minvenn.builder import (
     driving_path,
     partition_preview_graph,
 )
-from minvenn.export import _layout_geometry
+from minvenn.export import _layout_geometry, dump_json, to_json
 from minvenn.plane_graph import Face, PlaneDualGraph, crossing_count, trace_faces
 from minvenn.runs import run_partition
 
@@ -149,6 +150,27 @@ def test_build_guards():
         build_venn_dual(2)
     with pytest.raises(BuildError):
         build_venn_dual(5)  # n = 32 is past the materialization cap
+
+
+# SHA-256 of the JSON document of every base build variant: the concentric
+# build is deterministic, so a digest changes only with the build or the format.
+BASE_DIGESTS = {
+    (3, "earlier", True): "fc6d87ee41ba82da54dc46dc57631d204835850e36bdc6e6936ae1e5d4b97a38",
+    (3, "earlier", False): "7d4fd136cef4b954f7e88c106d733eeeae660162d597c840fdb6d54f6eb6a9d4",
+    (3, "later", True): "bbf1c5307147fc714c290d1b03929067d4a7864d1b1a25319f23d12c314e4962",
+    (3, "later", False): "b842f4ec8df085c21183fe1d3aec9710f04b666b70be9dffc03f9ed98ae09d05",
+    (4, "earlier", True): "dc4cc9b0e17ec82420c8df2486c6f4bce9f9110f1e24aaab00e12de530e9dfe8",
+    (4, "earlier", False): "5b40de32672bb45e01881c7a03dce5fac3cd64d1b97c7e41dd357c41bed76a93",
+    (4, "later", True): "2bc5d4a63d75a1b927d5487edbdf55f344c0fe9e25bf2546ac6edc2ddc92faed",
+    (4, "later", False): "00bbaa9719892ec4a259a909a2be3b6e8a59fe6ee2fb952492e22b203ed8c3f0",
+}
+
+
+@pytest.mark.parametrize("k,tie_break,apply_removals", sorted(BASE_DIGESTS))
+def test_base_build_is_byte_identical(k, tie_break, apply_removals):
+    g = build_venn_dual(k, tie_break=tie_break, apply_removals=apply_removals)
+    digest = hashlib.sha256(dump_json(to_json(g)).encode()).hexdigest()
+    assert digest == BASE_DIGESTS[k, tie_break, apply_removals]
 
 
 def test_layout_covers_all_vertices(dual8):

@@ -113,6 +113,19 @@ def test_stats_refuses_n_max_past_the_dimension_cap(capsys):
     assert run(capsys, ["stats", "--n-max", "32"])[0] == 0
 
 
+def test_usage_errors_show_the_subcommand_usage(capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps usage to the terminal width
+    code, _out, err = run(capsys, ["stats", "--n-max", "33"])
+    assert code == 2
+    assert err.splitlines() == [
+        "usage: minvenn stats [-h] [--n-max N_MAX] [--out OUT]",
+        "minvenn: error: --n-max at most 32",
+    ]
+    code, _out, err = run(capsys, ["gray", "--k", "1"])
+    assert err.startswith("usage: minvenn gray [-h] --k K")
+    assert err.endswith("minvenn: error: --k must be >= 2\n")
+
+
 def test_gray_sequence_and_stats(capsys):
     code, out, _ = run(capsys, ["gray", "--k", "2", "--stats"])
     assert code == 0

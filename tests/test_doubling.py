@@ -155,7 +155,7 @@ def fresh_bases():
 def test_build_venn_raises_when_the_outer_face_is_not_colorful(monkeypatch, dual8, fresh_bases):
     short = next(f for f in trace_faces(dual8) if len(f) == 10)
     rerooted = dataclasses.replace(dual8, outer_edge=short.vertices[:2])
-    monkeypatch.setattr(doubling, "build_venn_dual", lambda k, cap: rerooted)
+    monkeypatch.setattr(doubling, "build_venn_dual", lambda k: rerooted)
     with pytest.raises(DoublingError, match="outer face of the n=8 graph is not colorful"):
         build_venn(9)
 
@@ -241,6 +241,16 @@ def test_build_venn_guards():
     with pytest.raises(BuildError):
         build_venn(17)
     build_venn(8)  # lower edge of the valid range
+
+
+def test_build_venn_refuses_a_cap_past_max_cap_before_it_builds(monkeypatch):
+    def allocates(*args):
+        pytest.fail("build_venn started a build past MAX_CAP")
+
+    monkeypatch.setattr(doubling, "_base", allocates)
+    monkeypatch.setattr(doubling, "_doubled", allocates)
+    with pytest.raises(BuildError, match="cap=30 exceeds the largest cap 20"):
+        build_venn(30, cap=30)
 
 
 # Run in a fresh process: a face trace that loops must fail the test, not hang the suite.
