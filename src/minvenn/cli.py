@@ -55,8 +55,6 @@ def _check_out(path: str | None, parser) -> None:
 
 def _cmd_build(args, parser) -> int:
     _check_out(args.out, parser)
-    if args.cap > MAX_CAP:
-        parser.error(f"--cap at most {MAX_CAP}")
     if args.n < 8:
         parser.error("n >= 8 required")
     if args.n > args.cap:

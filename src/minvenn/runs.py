@@ -164,12 +164,13 @@ def longrun_path(k: int) -> Path:
     n = 1 << k
     if k == 2:
         return Path(0, _Q4_LONGRUN)
+    rings = partition_cycles(k)  # checks the level and the cap before any work
     d = n - k - 1
     pairs = _longrun_coefficient_order(k)
     cmasks = [mask_of(p) for p in pairs]
 
     adj: dict[int, list[int]] = {}
-    for ring in partition_cycles(k):
+    for ring in rings:
         for u, v in zip(ring, ring[1:] + ring[:1]):
             _toggle(adj, u, v)
 

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import minvenn
-from minvenn import cli, export, plane_graph, verify
+from minvenn import cli, export, plane_graph, runs, verify
 from minvenn.cli import main
 from minvenn.doubling import build_venn
 from minvenn.export import dump_json, from_json, load_json, to_json
@@ -43,6 +43,7 @@ def test_build_rejects_over_cap(capsys):
     assert "cap" in err
     code, _out, err = run(capsys, ["build", "--n", "8", "--cap", "21"])
     assert code == 2
+    assert "minvenn: error: cap=21 exceeds the largest cap 20" in err
 
 
 def test_unknown_flag_and_command(capsys):
@@ -143,6 +144,13 @@ def test_gray_scaled(capsys):
 def test_gray_rejects_bad_k(capsys):
     assert run(capsys, ["gray", "--k", "1"])[0] == 2
     assert run(capsys, ["gray", "--k", "5"])[0] == 2
+
+
+def test_gray_refuses_a_large_k_before_it_builds(capsys, monkeypatch):
+    monkeypatch.setattr(runs, "_longrun_coefficient_order", lambda k: pytest.fail("built pairs"))
+    code, _out, err = run(capsys, ["gray", "--k", "40"])
+    assert code == 2
+    assert "minvenn: error: ground set 2^40 exceeds the 32-bit mask model" in err
 
 
 def test_partition_text(capsys):

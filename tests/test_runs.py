@@ -3,6 +3,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from lemmas import is_hamiltonian_path
+from minvenn import runs
 from minvenn.hypercube import edge_direction, mask_of
 from minvenn.runs import DECREASING, INCREASING, brgc, longrun_path, mu, product_path, run_partition
 
@@ -196,6 +197,14 @@ def test_longrun_guards():
         longrun_path(1)
     with pytest.raises(ValueError):
         longrun_path(5)
+
+
+@pytest.mark.parametrize("k", [6, 20, 40])
+def test_longrun_refuses_a_large_k_before_it_builds(monkeypatch, k):
+    # The basis pairs of level k number about 2^k, each mask 2^k bits wide.
+    monkeypatch.setattr(runs, "_longrun_coefficient_order", lambda k: pytest.fail("built pairs"))
+    with pytest.raises(ValueError, match=f"ground set 2\\^{k} exceeds"):
+        longrun_path(k)
 
 
 def test_product_path_m0_is_base():
