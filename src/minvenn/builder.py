@@ -18,8 +18,8 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .bases import basis_C, cross_edges, ring_prefixes
-from .hypercube import DEFAULT_CAP, elements_of, span
+from .bases import _check_level, basis_C, cross_edges, partition_cycles, ring_prefixes
+from .hypercube import DEFAULT_CAP, elements_of
 from .plane_graph import Face, PlaneDualGraph, crossing_count, trace_faces
 from .runs import INCREASING, product_path, run_partition
 
@@ -52,6 +52,10 @@ def build_venn_dual(
     """
     if k < 3:
         raise BuildError(f"need k >= 3, got {k}")
+    try:
+        _check_level(k)  # before 2^k is formed
+    except ValueError as exc:
+        raise BuildError(str(exc)) from None
     n = 1 << k
     if n > DEFAULT_CAP:
         raise BuildError(f"n={n} exceeds the materialization cap {DEFAULT_CAP}")
@@ -114,12 +118,8 @@ def partition_preview_graph(k: int) -> PlaneDualGraph:
     The result is disconnected for k >= 2, so it is not a Venn diagram dual;
     it exists to preview the ring layout.
     """
-    if k < 1:
-        raise BuildError(f"need k >= 1, got {k}")
-    n = 1 << k
-    if n > DEFAULT_CAP:
-        raise BuildError(f"n={n} exceeds the materialization cap {DEFAULT_CAP}")
-    return _concentric_graph(span(basis_C(k).elements), n, None, {}, {}, set())
+    bases = [ring[0] for ring in partition_cycles(k)]
+    return _concentric_graph(bases, 1 << k, None, {}, {}, set())
 
 
 def _concentric_graph(

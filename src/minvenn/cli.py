@@ -55,10 +55,6 @@ def _check_out(path: str | None, parser) -> None:
 
 def _cmd_build(args, parser) -> int:
     _check_out(args.out, parser)
-    if args.n < 8:
-        parser.error("n >= 8 required")
-    if args.n > args.cap:
-        parser.error(f"n={args.n} exceeds cap {args.cap} (raise with --cap, max {MAX_CAP})")
     try:
         g = build_venn(args.n, cap=args.cap)
     except BuildError as exc:
@@ -124,8 +120,6 @@ def _cmd_stats(args, parser) -> int:
 
 def _cmd_gray(args, parser) -> int:
     _check_out(args.out, parser)
-    if args.k < 2:
-        parser.error("--k must be >= 2")
     try:
         path = product_path(args.k, args.m)
     except ValueError as exc:

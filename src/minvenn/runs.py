@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .bases import _c_pairs, cross_edges, partition_cycles
+from .bases import _c_pairs, _check_level, cross_edges, partition_cycles
 from .hypercube import MAX_CAP, Path, edge_direction, mask_of
 
 INCREASING = "increasing"
@@ -140,6 +140,13 @@ def _longrun_coefficient_order(k: int) -> list[tuple[int, int]]:
     return head + rest
 
 
+def _check_longrun_level(k: int) -> None:
+    """The long-run levels are 2 <= k <= MAX_LEVEL; checked before 2^k is formed."""
+    if k < 2:
+        raise ValueError(f"need k >= 2, got {k}")
+    _check_level(k)
+
+
 def _toggle(adj: dict[int, list[int]], u: int, v: int) -> None:
     lu = adj.setdefault(u, [])
     lv = adj.setdefault(v, [])
@@ -159,12 +166,11 @@ def longrun_path(k: int) -> Path:
     the symmetric difference with a 4-cycle per step of a reflected Gray code
     over the basis coefficients; cutting one n-edge yields the path.
     """
-    if k < 2:
-        raise ValueError(f"need k >= 2, got {k}")
-    n = 1 << k
+    _check_longrun_level(k)
     if k == 2:
         return Path(0, _Q4_LONGRUN)
-    rings = partition_cycles(k)  # checks the level and the cap before any work
+    n = 1 << k
+    rings = partition_cycles(k)  # checks the cap before any work
     d = n - k - 1
     pairs = _longrun_coefficient_order(k)
     cmasks = [mask_of(p) for p in pairs]
@@ -209,14 +215,15 @@ def product_path(k: int, m: int) -> Path:
     sequence, joined by single flips above n taken from a Gray code on the
     extra m directions.  Run statistics below n scale exactly by 2^m.
     """
-    if m < 0 or m >= (1 << k):
+    _check_longrun_level(k)
+    n = 1 << k
+    if m < 0 or m >= n:
         raise ValueError(f"need 0 <= m < 2^k, got m={m}")
+    if n + m > MAX_CAP:
+        raise ValueError(f"sequence for Q_{n + m} exceeds cap {MAX_CAP}")
     base = longrun_path(k)
     if m == 0:
         return base
-    n = 1 << k
-    if n + m > MAX_CAP:
-        raise ValueError(f"sequence for Q_{n + m} exceeds cap {MAX_CAP}")
     fwd = base.flips
     rev = fwd[::-1]
     out: list[int] = []

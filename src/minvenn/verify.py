@@ -198,9 +198,7 @@ def check_edge_conservation(g: PlaneDualGraph) -> CheckResult:
     if traced == directed:
         return CheckResult("edge-conservation", True)
     return CheckResult(
-        "edge-conservation",
-        False,
-        f"{traced} face steps over {traced} directed edges, expected {directed}",
+        "edge-conservation", False, f"{traced} face steps for {directed} directed edges"
     )
 
 

@@ -34,7 +34,7 @@ def test_build_n8_json(capsys):
 def test_build_rejects_small_n(capsys):
     code, out, err = run(capsys, ["build", "--n", "7"])
     assert code == 2
-    assert "n >= 8 required" in err
+    assert "need n >= 8, got 7" in err
 
 
 def test_build_rejects_over_cap(capsys):
@@ -124,7 +124,7 @@ def test_usage_errors_show_the_subcommand_usage(capsys, monkeypatch):
     ]
     code, _out, err = run(capsys, ["gray", "--k", "1"])
     assert err.startswith("usage: minvenn gray [-h] --k K")
-    assert err.endswith("minvenn: error: --k must be >= 2\n")
+    assert err.endswith("minvenn: error: need k >= 2, got 1\n")
 
 
 def test_gray_sequence_and_stats(capsys):

@@ -1,0 +1,110 @@
+"""Every entry point that takes n, k, m or a cap refuses an oversized request
+before it makes anything of size 2^k.
+
+Each case runs under tracemalloc: at k = 10^8 the int 2^k alone takes 12.5 MB,
+so a peak under 1 MiB shows that no limit is checked after a shift.  Where the
+request is small enough to build, the first helper that would allocate is
+stubbed with pytest.fail instead.
+"""
+
+import json
+import tracemalloc
+
+import pytest
+
+from minvenn import cli, doubling, export, runs
+from minvenn.bases import partition_cycles
+from minvenn.builder import BuildError, build_venn_dual, partition_preview_graph
+from minvenn.cli import main
+from minvenn.doubling import build_venn
+from minvenn.export import DocumentError, from_json
+from minvenn.runs import longrun_path, product_path
+
+BIG = 10**8
+PAST_LEVEL = f"ground set 2^{BIG} exceeds the 32-bit mask model"
+N33_DOC = {"format_version": 3, "n": 33, "rotation": {"0": [1], "1": [0]}}
+
+
+def _cli(*argv):
+    return lambda: main(list(argv))
+
+
+# (call, exception class or exit code 2, message, first allocating helper or None)
+LIMIT_CASES = [
+    pytest.param(
+        lambda: build_venn(BIG),
+        BuildError,
+        f"n={BIG} exceeds the materialization cap 16",
+        (doubling, "_base"),
+        id="build_venn",
+    ),
+    pytest.param(lambda: build_venn_dual(BIG), BuildError, PAST_LEVEL, None, id="build_venn_dual"),
+    pytest.param(lambda: partition_cycles(BIG), ValueError, PAST_LEVEL, None, id="partition_cycles"),
+    pytest.param(lambda: longrun_path(BIG), ValueError, PAST_LEVEL, None, id="longrun_path"),
+    pytest.param(lambda: product_path(BIG, 0), ValueError, PAST_LEVEL, None, id="product_path-k"),
+    pytest.param(
+        lambda: product_path(4, 7),
+        ValueError,
+        "sequence for Q_23 exceeds cap 20",
+        (runs, "longrun_path"),
+        id="product_path-cap",
+    ),
+    pytest.param(
+        lambda: partition_preview_graph(BIG), ValueError, PAST_LEVEL, None, id="partition_preview_graph"
+    ),
+    pytest.param(
+        lambda: from_json(N33_DOC),
+        DocumentError,
+        "n must be an integer in [1, 32]",
+        (export, "_vertex_table"),
+        id="from_json",
+    ),
+    pytest.param(
+        _cli("build", "--n", str(BIG)),
+        2,
+        f"n={BIG} exceeds the materialization cap 16",
+        (doubling, "_base"),
+        id="cli-build",
+    ),
+    pytest.param(
+        _cli("verify", "n33.json"),
+        2,
+        "cannot load n33.json: n must be an integer in [1, 32]",
+        (export, "_vertex_table"),
+        id="cli-verify",
+    ),
+    pytest.param(
+        _cli("stats", "--n-max", str(BIG)), 2, "--n-max at most 32", (cli, "lower_bound"), id="cli-stats"
+    ),
+    pytest.param(_cli("gray", "--k", str(BIG)), 2, PAST_LEVEL, None, id="cli-gray"),
+    pytest.param(_cli("partition", "--k", str(BIG)), 2, PAST_LEVEL, None, id="cli-partition"),
+]
+
+
+@pytest.mark.parametrize("call, expected, message, helper", LIMIT_CASES)
+def test_oversized_requests_are_refused_before_allocation(
+    call, expected, message, helper, monkeypatch, capsys, tmp_path
+):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "n33.json").write_text(json.dumps(N33_DOC))
+    if helper is not None:
+        module, name = helper
+        monkeypatch.setattr(module, name, lambda *a, **k: pytest.fail(f"{name} ran before the check"))
+    tracemalloc.start()
+    try:
+        try:
+            outcome = call()
+        except Exception as exc:
+            outcome = exc
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    if expected == 2:
+        err = capsys.readouterr().err
+        assert outcome == 2
+        assert "Traceback" not in err
+        assert err.splitlines()[-1] == f"minvenn: error: {message}"
+    else:
+        assert type(outcome) is expected
+        assert str(outcome) == message

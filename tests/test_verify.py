@@ -333,3 +333,14 @@ def test_verify_graph_walks_once(dual8, walks):
     report = verify_graph(cut)
     assert walks == [0, 2]
     assert report.checks[6] == check_curves(cut)
+
+
+def test_edge_conservation_witness_names_each_count_once(monkeypatch):
+    # A successful trace always conserves edges, so a stub that drops the
+    # 16-step outer face of the n = 8 build is the only way to reach the witness.
+    g = build_venn(8)
+    faces = trace_faces(g)
+    monkeypatch.setattr(verify, "trace_faces", lambda g: faces[1:])
+    assert verify.check_edge_conservation(g) == CheckResult(
+        "edge-conservation", False, "572 face steps for 588 directed edges"
+    )
