@@ -4,6 +4,7 @@
 import argparse
 import pathlib
 
+from minvenn.bases import partition_cycles
 from minvenn.builder import build_venn_dual, partition_preview_graph
 from minvenn.doubling import double
 from minvenn.export import dump_json, render_dual_svg, render_primal_svg, to_json
@@ -27,7 +28,7 @@ def main() -> None:
     (out / "venn9.json").write_text(dump_json(to_json(g9, report=verify_graph(g9))))
 
     for k in (1, 2, 3):
-        preview = partition_preview_graph(k)
+        preview = partition_preview_graph(partition_cycles(k))
         (out / f"partition-k{k}.svg").write_text(render_dual_svg(preview))
 
     print(f"wrote gallery to {out}/")

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .hypercube import DEFAULT_CAP, MAX_LEVEL, mask_of, span
+from .hypercube import DEFAULT_CAP, MAX_LEVEL, mask_of, shown, span
 
 
 @dataclass(frozen=True)
@@ -25,9 +25,9 @@ class Basis:
 
 def _check_level(k: int) -> None:
     if k < 1:
-        raise ValueError(f"basis level must be >= 1, got {k}")
+        raise ValueError(f"basis level must be >= 1, got {shown(k)}")
     if k > MAX_LEVEL:
-        raise ValueError(f"ground set 2^{k} exceeds the {1 << MAX_LEVEL}-bit mask model")
+        raise ValueError(f"ground set 2^{shown(k)} exceeds the {1 << MAX_LEVEL}-bit mask model")
 
 
 def _o_pairs(k: int) -> list[tuple[int, int]]:

@@ -18,8 +18,8 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .bases import _check_level, basis_C, cross_edges, partition_cycles, ring_prefixes
-from .hypercube import DEFAULT_CAP, elements_of
+from .bases import _c_pairs, _check_level, cross_edges, ring_prefixes
+from .hypercube import DEFAULT_CAP, mask_of, shown
 from .plane_graph import Face, PlaneDualGraph, crossing_count, trace_faces
 from .runs import INCREASING, product_path, run_partition
 
@@ -32,26 +32,15 @@ class FaceCatalogMismatch(BuildError):
     """A traced face does not match any expected flip-sequence template."""
 
 
-def coefficient_order(k: int) -> tuple[tuple[int, int], ...]:
-    """Build order of the basis: odd chain {2i-1, 2i+1} first, doubled part after."""
-    return tuple(map(elements_of, basis_C(k).elements))
-
-
 def driving_path(k: int):
     """Hamiltonian path over the 2^d coefficient tuples, rich in long runs."""
     return product_path(k - 1, (1 << (k - 1)) - k - 1)
 
 
-def build_venn_dual(
-    k: int, *, tie_break: str = "earlier", apply_removals: bool = True
-) -> PlaneDualGraph:
-    """Build the dual graph of an n-Venn diagram for n = 2^k, k >= 3.
-
-    apply_removals=False stops after the cross edge insertion, yielding the
-    intermediate graph with lam more faces, one per ring edge left in.
-    """
+def build_venn_dual(k: int) -> PlaneDualGraph:
+    """Build the dual graph of an n-Venn diagram for n = 2^k, k >= 3."""
     if k < 3:
-        raise BuildError(f"need k >= 3, got {k}")
+        raise BuildError(f"need k >= 3, got {shown(k)}")
     try:
         _check_level(k)  # before 2^k is formed
     except ValueError as exc:
@@ -65,11 +54,11 @@ def build_venn_dual(
     sigma = driving_path(k).flips
     if any(not 1 <= s <= d for s in sigma):
         raise BuildError(f"driving path leaves Q_{d}")
-    parts = run_partition(sigma, rho, tie_break=tie_break)
+    parts = run_partition(sigma, rho)
 
     # For s <= rho the pair is {2s-1, 2s+1}, the odd chain's s-th element.
-    coeffs = coefficient_order(k)
-    cmasks = basis_C(k).elements
+    pairs = _c_pairs(k)
+    cmasks = [mask_of(p) for p in pairs]
     xs = [0]
     for s in sigma:
         xs.append(xs[-1] ^ cmasks[s - 1])
@@ -82,7 +71,7 @@ def build_venn_dual(
     cut: set[int] = set()
     for t, s in enumerate(sigma):
         x = xs[t]
-        a, b = coeffs[s - 1]
+        a, b = pairs[s - 1]
         if s <= rho:
             run = parts.runs[parts.run_index[t]]
             kind = "E_down" if run.orientation == INCREASING else "E_up"
@@ -94,7 +83,7 @@ def build_venn_dual(
             cross_in[u] = v
             cross_out[v] = u
 
-        if apply_removals and t >= 1:
+        if t >= 1:
             r_prev, r_cur = parts.run_index[t - 1], parts.run_index[t]
             if r_prev is not None and r_prev == r_cur:
                 # Cut ring x's edge from position a_rm - 1 to a_rm.
@@ -103,23 +92,21 @@ def build_venn_dual(
 
     g = _concentric_graph(xs, n, (k, 0), cross_in, cross_out, cut)
     check_face_catalog(g)
-    expected = 2 + 4 * (nrings - 1) - parts.nu - parts.lam
-    if apply_removals:
-        expected -= parts.lam
+    expected = 2 + 4 * (nrings - 1) - parts.nu - 2 * parts.lam
     got = crossing_count(g)
     if got != expected:
         raise BuildError(f"traced {got} faces, run statistics demand {expected}")
     return g
 
 
-def partition_preview_graph(k: int) -> PlaneDualGraph:
-    """Bare concentric cycle partition (no cross edges), for drawing only.
+def partition_preview_graph(rings: list[list[int]]) -> PlaneDualGraph:
+    """The rings of partition_cycles nested concentrically (no cross edges), for drawing only.
 
     The result is disconnected for k >= 2, so it is not a Venn diagram dual;
     it exists to preview the ring layout.
     """
-    bases = [ring[0] for ring in partition_cycles(k)]
-    return _concentric_graph(bases, 1 << k, None, {}, {}, set())
+    bases = [ring[0] for ring in rings]
+    return _concentric_graph(bases, len(rings[0]) // 2, None, {}, {}, set())
 
 
 def _concentric_graph(

@@ -144,7 +144,7 @@ def _cmd_partition(args, parser) -> int:
         parser.error(str(exc))
     n = 1 << args.k
     if args.format == "svg-dual":
-        _emit(render_dual_svg(partition_preview_graph(args.k)), args.out, parser)
+        _emit(render_dual_svg(partition_preview_graph(cycles)), args.out, parser)
     else:
         lines = [f"x={c[0]}: " + " ".join(map(str, c)) for c in cycles]
         _emit("\n".join(lines) + "\n", args.out, parser)

@@ -12,7 +12,7 @@ from __future__ import annotations
 from functools import lru_cache
 
 from .builder import BuildError, build_venn_dual
-from .hypercube import DEFAULT_CAP, MAX_CAP, MAX_DIMENSION
+from .hypercube import DEFAULT_CAP, MAX_CAP, MAX_DIMENSION, shown
 from .plane_graph import PlaneDualGraph, trace_faces
 
 
@@ -160,10 +160,10 @@ def build_venn(n_total: int, cap: int = DEFAULT_CAP) -> PlaneDualGraph:
     (see _doubled).
     """
     if n_total < 8:
-        raise BuildError(f"need n >= 8, got {n_total}")
+        raise BuildError(f"need n >= 8, got {shown(n_total)}")
     if cap > MAX_CAP:
-        raise BuildError(f"cap={cap} exceeds the largest cap {MAX_CAP}")
+        raise BuildError(f"cap={shown(cap)} exceeds the largest cap {MAX_CAP}")
     if n_total > cap:
-        raise BuildError(f"n={n_total} exceeds the materialization cap {cap}")
+        raise BuildError(f"n={shown(n_total)} exceeds the materialization cap {cap}")
     k = n_total.bit_length() - 1
     return _doubled(_base(k), n_total - (1 << k))

@@ -7,7 +7,8 @@ is a tuple of directions, and a path is its start vertex with its flips.
 Everything here is a pure function over immutable values and safe to share
 across threads.
 
-This module is also the single home of every size limit in the package.
+This module is also the single home of every size limit in the package, and
+of shown(), which prints a refused int in their messages.
 """
 
 from __future__ import annotations
@@ -24,6 +25,16 @@ MAX_DIMENSION = 32
 MAX_LEVEL = MAX_DIMENSION.bit_length() - 1
 # Eager span materialization refuses more than 2^28 combinations.
 SPAN_GUARD = 28
+
+
+def shown(value: int) -> str:
+    """A caller's int as a limit message prints it: in full up to 64 bits, past them by its size.
+
+    str() refuses an int of more than 4300 digits, and a refusal must not fail.
+    """
+    if isinstance(value, int) and value.bit_length() > 64:
+        return f"{'-' if value < 0 else ''}<int of {value.bit_length()} bits>"
+    return str(value)
 
 
 class Path(NamedTuple):

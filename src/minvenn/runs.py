@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .bases import _c_pairs, _check_level, cross_edges, partition_cycles
-from .hypercube import MAX_CAP, Path, edge_direction, mask_of
+from .hypercube import MAX_CAP, Path, edge_direction, mask_of, shown
 
 INCREASING = "increasing"
 DECREASING = "decreasing"
@@ -76,39 +76,28 @@ def _maximal_runs(entries: tuple[int, ...], rho: int) -> list[tuple[int, int, st
     return out
 
 
-def run_partition(entries: tuple[int, ...], rho: int, tie_break: str = "earlier") -> RunPartition:
+def run_partition(entries: tuple[int, ...], rho: int) -> RunPartition:
     """Fixed rho-run partition of the sequence.
 
-    Two consecutive maximal runs can overlap in one element; tie_break
-    decides whether the "earlier" or the "later" run keeps it.  Runs that end
-    up with a single element count as increasing.
+    Two consecutive maximal runs can overlap in one element; the earlier run
+    keeps it.  Runs that end up with a single element count as increasing.
     """
     if rho < 1:
-        raise ValueError(f"rho must be >= 1, got {rho}")
+        raise ValueError(f"rho must be >= 1, got {shown(rho)}")
     if any(e < 1 for e in entries):
         raise ValueError("flip directions must be >= 1")
-    if tie_break not in ("earlier", "later"):
-        raise ValueError(f"tie_break must be 'earlier' or 'later', got {tie_break!r}")
-    maximal = _maximal_runs(entries, rho)
-    resolved: list[tuple[int, int, str]] = []
-    for t, (s, e, orient) in enumerate(maximal):
-        if tie_break == "earlier":
-            if t > 0 and maximal[t - 1][1] - 1 == s:
-                s += 1
-        else:
-            if t + 1 < len(maximal) and maximal[t + 1][0] == e - 1:
-                e -= 1
-        if e - s == 1:
-            orient = INCREASING
-        resolved.append((s, e, orient))
-    runs = tuple(Run(s, e - s, o) for s, e, o in resolved)
+    runs: list[Run] = []
+    for s, e, orient in _maximal_runs(entries, rho):
+        if runs and runs[-1].stop_index == s + 1:
+            s += 1
+        runs.append(Run(s, e - s, orient if e - s > 1 else INCREASING))
     index: list[int | None] = [None] * len(entries)
     for rid, r in enumerate(runs):
         for p in range(r.start_index, r.stop_index):
             index[p] = rid
     nu = len(runs)
     lam = sum(r.element_count - 1 for r in runs)
-    return RunPartition(runs=runs, run_index=tuple(index), nu=nu, lam=lam)
+    return RunPartition(runs=tuple(runs), run_index=tuple(index), nu=nu, lam=lam)
 
 
 def mu(entries: tuple[int, ...]) -> int:
@@ -125,7 +114,7 @@ def brgc(n: int) -> tuple[int, ...]:
     alternates copies of (1, 2, 1, 3, 1, 2, 1) with single flips >= 4.
     """
     if n < 1:
-        raise ValueError(f"need n >= 1, got {n}")
+        raise ValueError(f"need n >= 1, got {shown(n)}")
     return tuple((j & -j).bit_length() for j in range(1, 1 << n))
 
 
@@ -143,7 +132,7 @@ def _longrun_coefficient_order(k: int) -> list[tuple[int, int]]:
 def _check_longrun_level(k: int) -> None:
     """The long-run levels are 2 <= k <= MAX_LEVEL; checked before 2^k is formed."""
     if k < 2:
-        raise ValueError(f"need k >= 2, got {k}")
+        raise ValueError(f"need k >= 2, got {shown(k)}")
     _check_level(k)
 
 
@@ -218,7 +207,7 @@ def product_path(k: int, m: int) -> Path:
     _check_longrun_level(k)
     n = 1 << k
     if m < 0 or m >= n:
-        raise ValueError(f"need 0 <= m < 2^k, got m={m}")
+        raise ValueError(f"need 0 <= m < 2^k, got m={shown(m)}")
     if n + m > MAX_CAP:
         raise ValueError(f"sequence for Q_{n + m} exceeds cap {MAX_CAP}")
     base = longrun_path(k)

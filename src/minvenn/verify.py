@@ -15,6 +15,8 @@ from collections import Counter
 from dataclasses import dataclass
 from math import comb
 
+from .bases import _check_level
+from .hypercube import shown
 from .plane_graph import PlaneDualGraph, rotation_problems, trace_faces
 
 
@@ -77,7 +79,7 @@ class VerificationReport:
 def lower_bound(n: int) -> int:
     """Minimum crossing count of any n-Venn diagram: ceil((2^n - 2) / (n - 1))."""
     if n < 2:
-        raise ValueError(f"lower bound needs n >= 2, got {n}")
+        raise ValueError(f"lower bound needs n >= 2, got {shown(n)}")
     return -((2 - (1 << n)) // (n - 1))
 
 
@@ -87,7 +89,7 @@ def monotone_reference(n: int) -> int:
     The n = 1 row is 0 by table convention, not comb(1, 0) = 1.
     """
     if n < 1:
-        raise ValueError(f"need n >= 1, got {n}")
+        raise ValueError(f"need n >= 1, got {shown(n)}")
     if n == 1:
         return 0
     return comb(n, n // 2)
@@ -100,10 +102,11 @@ def expected_crossings(k: int, m: int) -> int:
     statistics of the driving path scaled from dimension 2^(k-1).
     """
     if k < 3:
-        raise ValueError(f"need k >= 3, got {k}")
+        raise ValueError(f"need k >= 3, got {shown(k)}")
+    _check_level(k - 1)  # the level of the driving path, as driving_path(k) checks it
     n = 1 << k
     if not 0 <= m < n:
-        raise ValueError(f"need 0 <= m < 2^k, got m={m}")
+        raise ValueError(f"need 0 <= m < 2^k, got m={shown(m)}")
     if k == 3:
         base = 2 * ((1 << 8) // 8) - 6 - 2 * 8 - 2  # nu=6, lam=8 from the Q_4 path
     else:

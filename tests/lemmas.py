@@ -1,8 +1,9 @@
 """Checkers for the paper's lemmas, used only by the tests.
 
 The two bases B and C span one GF(2) subspace, the isometric paths and
-cycles behind the cycle partition, and Hamiltonicity of the long-run flip
-sequences.  No build, verify or export stage needs them.
+cycles behind the cycle partition, Hamiltonicity of the long-run flip
+sequences, and the second way to break the overlaps of a run partition.
+No build, verify or export stage needs them.
 """
 
 from __future__ import annotations
@@ -11,6 +12,7 @@ from typing import Sequence
 
 from minvenn.bases import Basis, _check_level, _o_pairs
 from minvenn.hypercube import MAX_CAP, Path, elements_of, mask_of
+from minvenn.runs import INCREASING, Run, RunPartition, _maximal_runs
 
 
 def basis_B(k: int) -> Basis:
@@ -143,3 +145,23 @@ def is_hamiltonian_path(seq: tuple[int, ...], n: int) -> bool:
             return False
         visited[v] = 1
     return True
+
+
+def later_run_partition(entries: tuple[int, ...], rho: int) -> RunPartition:
+    """run_partition with each overlap element kept by the later of its two runs.
+
+    The library keeps it in the earlier run; nu and lam must not depend on
+    the choice, and the build reaches the same face count either way.
+    """
+    maximal = _maximal_runs(entries, rho)
+    runs = []
+    for t, (s, e, orient) in enumerate(maximal):
+        if t + 1 < len(maximal) and maximal[t + 1][0] == e - 1:
+            e -= 1
+        runs.append(Run(s, e - s, orient if e - s > 1 else INCREASING))
+    index: list[int | None] = [None] * len(entries)
+    for rid, r in enumerate(runs):
+        index[r.start_index : r.stop_index] = [rid] * r.element_count
+    nu = len(runs)
+    lam = sum(r.element_count - 1 for r in runs)
+    return RunPartition(runs=tuple(runs), run_index=tuple(index), nu=nu, lam=lam)

@@ -9,7 +9,14 @@ import random
 import resource
 import time
 
-from lemmas import basis_B, check_pairwise_distinct_endpoints, ramras_path, spans_equal, walk
+from lemmas import (
+    basis_B,
+    check_pairwise_distinct_endpoints,
+    later_run_partition,
+    ramras_path,
+    spans_equal,
+    walk,
+)
 from minvenn.bases import basis_C, partition_cycles
 from minvenn.builder import check_face_catalog
 from minvenn.cli import main
@@ -152,7 +159,7 @@ def test_criterion_09_property_suites(capsys, dual8, dual16, doubling_chain):
         entries = tuple(rng.randint(1, 8) for _ in range(length))
         rho = rng.randint(1, 8)
         early = run_partition(entries, rho)
-        late = run_partition(entries, rho, tie_break="later")
+        late = later_run_partition(entries, rho)
         over = sum(1 for e in entries if e > rho)
         ok = ok and over == length - early.nu - early.lam
         ok = ok and (early.nu, early.lam) == (late.nu, late.lam)

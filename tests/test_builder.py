@@ -6,14 +6,15 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from minvenn.bases import basis_C
+from lemmas import later_run_partition
+from minvenn import builder
+from minvenn.bases import basis_C, partition_cycles
 from minvenn.builder import (
     BuildError,
     build_venn_dual,
     canonical_cycle,
     check_face_catalog,
     classify_face,
-    coefficient_order,
     driving_path,
     partition_preview_graph,
 )
@@ -56,21 +57,44 @@ def test_trace_keeps_nothing_per_edge(dual16):
     assert retained < 6 << 20
 
 
+def _variant(monkeypatch, k, tie_break="earlier", apply_removals=True):
+    """A variant of build_venn_dual(k) the paper allows, built from outside the library.
+
+    tie_break="later" gives each overlap element of the run partition to the
+    later run.  apply_removals=False nests the build's rings again with every
+    ring edge kept: the intermediate graph, with lam more faces.
+    """
+    assembled = []
+    concentric = builder._concentric_graph
+    with monkeypatch.context() as patch:
+        if tie_break == "later":
+            patch.setattr(builder, "run_partition", later_run_partition)
+        patch.setattr(
+            builder, "_concentric_graph", lambda *args: assembled.append(args) or concentric(*args)
+        )
+        g = build_venn_dual(k)
+    if apply_removals:
+        return g
+    (args,) = assembled
+    return concentric(*args[:-1], set())
+
+
 def _ring_edges(g):
     layout = _layout_geometry(g)[0]
     return {(u, v, d) for u, v, d in g.edges() if layout[u][0] == layout[v][0]}
 
 
-def test_k3_intermediate_graph_face_count():
-    g = build_venn_dual(3, apply_removals=False)
-    assert crossing_count(g) == 48
+def test_k3_intermediate_graph_face_count(monkeypatch):
+    g = _variant(monkeypatch, 3, apply_removals=False)
+    assert sum(check_face_catalog(g).values()) == crossing_count(g) == 48
     assert len(_ring_edges(g)) == 2 * 8 * (1 << 4)  # all 2^d rings keep their 2n edges
 
 
-def test_removals_each_drop_one_face(dual8, dual16):
+def test_removals_each_drop_one_face(dual8, dual16, monkeypatch):
     # lam of the driving path at rho = n/2 - 1: 8 at n = 8, 1280 at n = 16
     for k, g, lam in ((3, dual8, 8), (4, dual16, 1280)):
-        inter = build_venn_dual(k, apply_removals=False)
+        inter = _variant(monkeypatch, k, apply_removals=False)
+        check_face_catalog(inter)
         removed = set(inter.edges()) - set(g.edges())
         assert set(g.edges()) <= set(inter.edges())
         assert removed <= _ring_edges(inter)
@@ -84,12 +108,6 @@ def test_ring_bases_follow_the_driving_path(dual8):
     for t, s in enumerate(driving_path(3).flips):
         assert bases[t + 1] == bases[t] ^ masks[s - 1]
     assert len(set(bases)) == 1 << 4
-
-
-def test_coefficient_order_is_odd_chain_first():
-    assert coefficient_order(3) == ((1, 3), (3, 5), (5, 7), (2, 6))
-    order4 = coefficient_order(4)
-    assert order4[:7] == tuple((2 * i - 1, 2 * i + 1) for i in range(1, 8))
 
 
 def test_outer_face_is_outermost_ring(dual8):
@@ -134,14 +152,14 @@ def test_classify_face_rejects_garbage():
     assert classify_face(Face((0, 1, 3), (1, 2, 1)), 8) is None
 
 
-def test_both_tie_breaks_reach_forty():
+def test_both_tie_breaks_reach_forty(monkeypatch):
     for tie_break in ("earlier", "later"):
-        g = build_venn_dual(3, tie_break=tie_break)
+        g = _variant(monkeypatch, 3, tie_break=tie_break)
         assert crossing_count(g) == 40
 
 
-def test_later_tie_break_also_reaches_5118():
-    g = build_venn_dual(4, tie_break="later")
+def test_later_tie_break_also_reaches_5118(monkeypatch):
+    g = _variant(monkeypatch, 4, tie_break="later")
     assert crossing_count(g) == 5118
 
 
@@ -152,8 +170,9 @@ def test_build_guards():
         build_venn_dual(5)  # n = 32 is past the materialization cap
 
 
-# SHA-256 of the JSON document of every base build variant: the concentric
-# build is deterministic, so a digest changes only with the build or the format.
+# SHA-256 of the JSON document of every base build variant (see _variant):
+# the concentric build is deterministic, so a digest changes only with the
+# build or the format.
 BASE_DIGESTS = {
     (3, "earlier", True): "fc6d87ee41ba82da54dc46dc57631d204835850e36bdc6e6936ae1e5d4b97a38",
     (3, "earlier", False): "7d4fd136cef4b954f7e88c106d733eeeae660162d597c840fdb6d54f6eb6a9d4",
@@ -167,8 +186,8 @@ BASE_DIGESTS = {
 
 
 @pytest.mark.parametrize("k,tie_break,apply_removals", sorted(BASE_DIGESTS))
-def test_base_build_is_byte_identical(k, tie_break, apply_removals):
-    g = build_venn_dual(k, tie_break=tie_break, apply_removals=apply_removals)
+def test_base_build_is_byte_identical(k, tie_break, apply_removals, monkeypatch):
+    g = _variant(monkeypatch, k, tie_break, apply_removals)
     digest = hashlib.sha256(dump_json(to_json(g)).encode()).hexdigest()
     assert digest == BASE_DIGESTS[k, tie_break, apply_removals]
 
@@ -182,7 +201,7 @@ def test_layout_covers_all_vertices(dual8):
 
 
 def test_partition_preview_graph():
-    g = partition_preview_graph(2)
+    g = partition_preview_graph(partition_cycles(2))
     assert g.vertex_count == 16
     assert {ring for ring, _ in _layout_geometry(g)[0].values()} == {1, 2}
     assert all(len(nbrs) == 2 for nbrs in g.rotation.values())

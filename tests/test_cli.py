@@ -9,7 +9,8 @@ from pathlib import Path
 import pytest
 
 import minvenn
-from minvenn import cli, export, plane_graph, runs, verify
+from minvenn import builder, cli, export, plane_graph, runs, verify
+from minvenn.bases import partition_cycles
 from minvenn.cli import main
 from minvenn.doubling import build_venn
 from minvenn.export import dump_json, from_json, load_json, to_json
@@ -168,6 +169,21 @@ def test_partition_svg(capsys):
     assert "<svg" in out
 
 
+def test_partition_svg_builds_the_partition_once(monkeypatch, capsys):
+    calls = []
+
+    def counted(k):
+        calls.append(k)
+        return partition_cycles(k)
+
+    # Every module that could build the partition for the drawing.
+    for module in (cli, builder):
+        if hasattr(module, "partition_cycles"):
+            monkeypatch.setattr(module, "partition_cycles", counted)
+    assert run(capsys, ["partition", "--k", "4", "--format", "svg-dual"])[0] == 0
+    assert calls == [4]
+
+
 def test_verify_round_trip(tmp_path, capsys):
     target = tmp_path / "venn8.json"
     run(capsys, ["build", "--n", "8", "--out", str(target)])
@@ -193,7 +209,7 @@ def test_verify_failing_document(tmp_path, capsys):
     from minvenn.builder import partition_preview_graph
     from minvenn.export import dump_json, to_json
 
-    doc = dump_json(to_json(partition_preview_graph(2)))
+    doc = dump_json(to_json(partition_preview_graph(partition_cycles(2))))
     target = tmp_path / "rings.json"
     target.write_text(doc)
     code, _out, err = run(capsys, ["verify", str(target)])

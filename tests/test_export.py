@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import minvenn
-from minvenn.bases import ring_prefixes
+from minvenn.bases import partition_cycles, ring_prefixes
 from minvenn.builder import partition_preview_graph
 from minvenn.cli import main
 from minvenn.export import (
@@ -257,7 +257,7 @@ def test_render_dual_svg(dual8):
 
 
 def test_render_dual_preview_two_rings():
-    svg = render_dual_svg(partition_preview_graph(2))
+    svg = render_dual_svg(partition_preview_graph(partition_cycles(2)))
     ET.fromstring(svg)
     assert svg.count("<circle") == 16
     assert svg.count("<line") == 16
@@ -294,4 +294,4 @@ def test_render_primal_refuses_an_outer_edge_missing_from_the_rotation(dual8):
 
 def test_render_primal_refuses_unverified():
     with pytest.raises(RenderError):
-        render_primal_svg(partition_preview_graph(2))
+        render_primal_svg(partition_preview_graph(partition_cycles(2)))

@@ -1,10 +1,11 @@
 """Every entry point that takes n, k, m or a cap refuses an oversized request
-before it makes anything of size 2^k.
+before it makes anything of size 2^k, with its own class and message.
 
 Each case runs under tracemalloc: at k = 10^8 the int 2^k alone takes 12.5 MB,
 so a peak under 1 MiB shows that no limit is checked after a shift.  Where the
 request is small enough to build, the first helper that would allocate is
-stubbed with pytest.fail instead.
+stubbed with pytest.fail instead.  An int of 5000 digits is past the 4300
+that str() prints, so its message must name it by size.
 """
 
 import json
@@ -19,9 +20,13 @@ from minvenn.cli import main
 from minvenn.doubling import build_venn
 from minvenn.export import DocumentError, from_json
 from minvenn.runs import longrun_path, product_path
+from minvenn.verify import expected_crossings
 
 BIG = 10**8
 PAST_LEVEL = f"ground set 2^{BIG} exceeds the 32-bit mask model"
+# 10^5000 takes 16610 bits.
+HUGE = 10**5000
+HUGE_SHOWN = "<int of 16610 bits>"
 N33_DOC = {"format_version": 3, "n": 33, "rotation": {"0": [1], "1": [0]}}
 
 
@@ -38,7 +43,31 @@ LIMIT_CASES = [
         (doubling, "_base"),
         id="build_venn",
     ),
+    pytest.param(
+        lambda: build_venn(HUGE),
+        BuildError,
+        f"n={HUGE_SHOWN} exceeds the materialization cap 16",
+        (doubling, "_base"),
+        id="build_venn-huge",
+    ),
+    pytest.param(
+        lambda: build_venn(-HUGE), BuildError, f"need n >= 8, got -{HUGE_SHOWN}", None, id="build_venn-negative"
+    ),
+    pytest.param(
+        lambda: build_venn(8, cap=HUGE),
+        BuildError,
+        f"cap={HUGE_SHOWN} exceeds the largest cap 20",
+        (doubling, "_base"),
+        id="build_venn-cap",
+    ),
     pytest.param(lambda: build_venn_dual(BIG), BuildError, PAST_LEVEL, None, id="build_venn_dual"),
+    pytest.param(
+        lambda: build_venn_dual(HUGE),
+        BuildError,
+        f"ground set 2^{HUGE_SHOWN} exceeds the 32-bit mask model",
+        None,
+        id="build_venn_dual-huge",
+    ),
     pytest.param(lambda: partition_cycles(BIG), ValueError, PAST_LEVEL, None, id="partition_cycles"),
     pytest.param(lambda: longrun_path(BIG), ValueError, PAST_LEVEL, None, id="longrun_path"),
     pytest.param(lambda: product_path(BIG, 0), ValueError, PAST_LEVEL, None, id="product_path-k"),
@@ -50,7 +79,33 @@ LIMIT_CASES = [
         id="product_path-cap",
     ),
     pytest.param(
-        lambda: partition_preview_graph(BIG), ValueError, PAST_LEVEL, None, id="partition_preview_graph"
+        lambda: product_path(3, HUGE),
+        ValueError,
+        f"need 0 <= m < 2^k, got m={HUGE_SHOWN}",
+        (runs, "longrun_path"),
+        id="product_path-m",
+    ),
+    # The closed form is bounded by the level k - 1 of the driving path it scales.
+    pytest.param(
+        lambda: expected_crossings(BIG, 0),
+        ValueError,
+        f"ground set 2^{BIG - 1} exceeds the 32-bit mask model",
+        None,
+        id="expected_crossings",
+    ),
+    pytest.param(
+        lambda: expected_crossings(7, 0),
+        ValueError,
+        "ground set 2^6 exceeds the 32-bit mask model",
+        None,
+        id="expected_crossings-level",
+    ),
+    pytest.param(
+        lambda: partition_preview_graph(partition_cycles(BIG)),
+        ValueError,
+        PAST_LEVEL,
+        None,
+        id="partition_preview_graph",
     ),
     pytest.param(
         lambda: from_json(N33_DOC),

@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from lemmas import is_hamiltonian_path
+from lemmas import is_hamiltonian_path, later_run_partition
 from minvenn import runs
 from minvenn.hypercube import edge_direction, mask_of
 from minvenn.runs import DECREASING, INCREASING, brgc, longrun_path, mu, product_path, run_partition
@@ -46,7 +46,7 @@ def test_run_partition_singletons_count_as_increasing():
 def test_run_partition_tie_break_modes():
     seq = (1, 2, 3, 2, 1)
     early = run_partition(seq, 3)
-    late = run_partition(seq, 3, tie_break="later")
+    late = later_run_partition(seq, 3)
     assert [(r.start_index, r.element_count) for r in early.runs] == [(0, 3), (3, 2)]
     assert [(r.start_index, r.element_count) for r in late.runs] == [(0, 2), (2, 3)]
     assert (early.nu, early.lam) == (late.nu, late.lam) == (2, 3)
@@ -62,8 +62,6 @@ def test_run_partition_validation():
     with pytest.raises(ValueError):
         run_partition((1,), 0)
     with pytest.raises(ValueError):
-        run_partition((1,), 3, tie_break="sideways")
-    with pytest.raises(ValueError):
         run_partition((1, 0, 1), 3)
 
 
@@ -74,7 +72,7 @@ seqs = st.lists(st.integers(min_value=1, max_value=6), max_size=60)
 def test_run_partition_identity_and_invariance(entries, rho):
     seq = tuple(entries)
     early = run_partition(seq, rho)
-    late = run_partition(seq, rho, tie_break="later")
+    late = later_run_partition(seq, rho)
     over = sum(1 for e in entries if e > rho)
     assert over == len(entries) - early.nu - early.lam
     assert (early.nu, early.lam) == (late.nu, late.lam)

@@ -5,6 +5,7 @@ import pytest
 
 import verify_oracle as oracle
 from minvenn import export, verify
+from minvenn.bases import partition_cycles
 from minvenn.builder import partition_preview_graph
 from minvenn.doubling import build_venn
 from minvenn.export import DocumentError, from_json, to_json
@@ -112,7 +113,7 @@ def test_spanning_failure_has_witness():
 
 
 def test_disjoint_rings_fail_curve_checks():
-    g = partition_preview_graph(2)
+    g = partition_preview_graph(partition_cycles(2))
     assert check_spanning(g).passed
     assert not check_euler(g).passed
     assert check_connected(g) == CheckResult("connected", False, "2 components")
@@ -188,7 +189,7 @@ def test_duality_shortcut_agrees_with_the_walks(doubling_chain, walks, n):
 def test_curves_off_the_sphere_walk_each_direction(dual8, walks):
     # Disjoint rings fail connectivity, so direction 1 is walked; its inside
     # splits before its face cycle is looked at.
-    rings = partition_preview_graph(2)
+    rings = partition_preview_graph(partition_cycles(2))
     witness = check_curves(rings)
     assert walks == [0, 1]
     assert witness == oracle.check_curves(rings)
