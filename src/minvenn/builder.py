@@ -21,7 +21,7 @@ from functools import lru_cache
 from .bases import _c_pairs, _check_level, cross_edges, ring_prefixes
 from .hypercube import DEFAULT_CAP, mask_of, shown
 from .plane_graph import Face, PlaneDualGraph, crossing_count, trace_faces
-from .runs import INCREASING, product_path, run_partition
+from .runs import INCREASING, _check_longrun_level, product_path, run_partition
 
 
 class BuildError(ValueError):
@@ -34,6 +34,7 @@ class FaceCatalogMismatch(BuildError):
 
 def driving_path(k: int):
     """Hamiltonian path over the 2^d coefficient tuples, rich in long runs."""
+    _check_longrun_level(k - 1)  # before 2^(k-1) is formed
     return product_path(k - 1, (1 << (k - 1)) - k - 1)
 
 

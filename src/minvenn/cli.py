@@ -82,8 +82,7 @@ def _cmd_verify(args, parser) -> int:
         _check_out(args.out, parser)
     try:
         with open(args.file, "r", encoding="utf-8") as fh:
-            doc = load_json(fh.read())
-        g = from_json(doc)
+            g = from_json(load_json(fh.read()))
     except (OSError, ValueError) as exc:
         parser.error(f"cannot load {args.file}: {exc}")
     report = verify_graph(g)

@@ -31,34 +31,19 @@ def _colorful_vertex(verts: tuple[int, ...], n: int) -> int | None:
     return min((v for v in members if v ^ full in members), default=None)
 
 
-def find_colorful_face(g: PlaneDualGraph) -> tuple[tuple[int, ...], int] | None:
-    """The outer face's vertex walk and its colorful vertex, by one walk of at most 2n steps.
-
-    The walk starts on outer_edge and follows the same next-edge rule as the
-    trace.  None if the outer face is not colorful, or if the walk leaves the
-    rotation.
-    """
-    rotation = g.rotation
-    start, b = g.outer_edge
-    a = start
-    try:
-        first = s = rotation[a].index(b)
-        walk = []
-        for _ in range(2 * g.n):
-            walk.append(a)
-            b = rotation[a][s]
-            nbrs = rotation[b]
-            s = nbrs.index(a) + 1
-            if s == len(nbrs):
-                s = 0
-            a = b
-    except (KeyError, ValueError):
-        return None
-    if (a, s) != (start, first):
-        return None
-    verts = tuple(walk)
-    v = _colorful_vertex(verts, g.n)
+def _colorful(verts: tuple[int, ...], n: int) -> tuple[tuple[int, ...], int] | None:
+    """verts and its colorful vertex, or None if the face walk verts is not colorful."""
+    v = _colorful_vertex(verts, n)
     return None if v is None else (verts, v)
+
+
+def find_colorful_face(g: PlaneDualGraph) -> tuple[tuple[int, ...], int] | None:
+    """The traced outer face's vertex walk and its colorful vertex.
+
+    None if the outer face is not colorful.  Raises InconsistentRotation if
+    g does not trace or its outer_edge is not in the rotation.
+    """
+    return _colorful(trace_faces(g)[g.outer_face_index()].vertices, g.n)
 
 
 def _insert_after(row: tuple[int, ...], anchor: int, item: int) -> tuple[int, ...]:
@@ -67,7 +52,7 @@ def _insert_after(row: tuple[int, ...], anchor: int, item: int) -> tuple[int, ..
     return row[:i] + (item,) + row[i:]
 
 
-def _double(g: PlaneDualGraph, verts: tuple[int, ...], vertex: int) -> PlaneDualGraph:
+def _double(g: PlaneDualGraph, verts: tuple[int, ...], vertex: int):
     """The doubled graph, joined at vertex and its complement on the colorful face verts.
 
     The second copy carries element n+1 on every vertex and is mirrored (all
@@ -75,6 +60,11 @@ def _double(g: PlaneDualGraph, verts: tuple[int, ...], vertex: int) -> PlaneDual
     new vertex is one int object wherever it is listed.  The original copy
     shares every tuple row of g except the two that take a joining edge
     (tuple() of a tuple is that tuple); a hand-made list row is copied.
+
+    Also returns the new outer face's walk from outer_edge: with w = verts,
+    vertex = w_i, its complement w_j and x' the image of x, it is w_i, w_i',
+    w_(i-1)', ..., w_j', w_j, ..., w_(i-1).  It meets each of the four
+    joined rows once, since verts holds no vertex twice.
     """
     n = g.n
     if n + 1 > MAX_DIMENSION:
@@ -106,27 +96,31 @@ def _double(g: PlaneDualGraph, verts: tuple[int, ...], vertex: int) -> PlaneDual
     construction = None
     if g.construction is not None:
         construction = (g.construction[0], g.construction[1] + 1)
-    return PlaneDualGraph(
+    doubled = PlaneDualGraph(
         n=n + 1,
         rotation=rotation,
         outer_edge=(vertex, image[vertex]),
         construction=construction,
     )
+    back = (verts[j:] + verts[:j])[: (i - j) % length]  # w_j, ..., w_(i-1)
+    return doubled, (vertex, *map(mirror, (vertex, *reversed(back))), *back)
 
 
 def _doubled(g: PlaneDualGraph, m: int) -> PlaneDualGraph:
-    """g doubled m times, each time through its outer face, found by find_colorful_face.
+    """g doubled m times, each time through its outer face.
 
-    Only g (a base build has cached its trace) and the result are traced, and
-    the result must have 2^m times g's faces.
+    Only g (a base build has cached its trace) and the result are traced:
+    g's outer face comes from its trace, by find_colorful_face, and each
+    later one from the _double step that made it.  The result must have
+    2^m times g's faces.
     """
     want = len(trace_faces(g)) << m
-    g.outer_face_index()  # InconsistentRotation if outer_edge is not in the rotation
+    walk = None
     for _ in range(m):
-        found = find_colorful_face(g)
+        found = find_colorful_face(g) if walk is None else _colorful(walk, g.n)
         if found is None:
             raise DoublingError(f"the outer face of the n={g.n} graph is not colorful")
-        g = _double(g, *found)
+        g, walk = _double(g, *found)
     got = len(trace_faces(g))
     if got != want:
         raise DoublingError(f"doubling produced {got} faces, expected {want}")

@@ -272,13 +272,14 @@ def render_primal_svg(g: PlaneDualGraph, report=None) -> str:
     parts = _svg_open(2.0 * center)
     buckets = face_edges_by_direction(g)
     for j in range(1, g.n + 1):
-        cycle, _problem = face_cycle(buckets[j], j)  # None: the curves check passed
+        bucket, jbit = buckets[j], 1 << (j - 1)
+        slots, _problem = face_cycle(bucket, j)  # None: the curves check passed
         coords = []
-        for face_idx, edge in cycle:
-            fx, fy = points[face_idx]
-            coords.append((fx, fy))
-            ux, uy = position(edge[0])
-            vx, vy = position(edge[1])
+        for s in slots:
+            coords.append(points[bucket[2 * s]])
+            low = bucket[2 * s + 1]
+            ux, uy = position(low)
+            vx, vy = position(low | jbit)
             coords.append(((ux + vx) / 2.0, (uy + vy) / 2.0))
         path = "M " + " L ".join(f"{_fmt(x)} {_fmt(y)}" for x, y in coords) + " Z"
         parts.append(

@@ -230,17 +230,17 @@ def face_edges_by_direction(g: PlaneDualGraph) -> list[list[int]]:
 
 
 def face_cycle(bucket: list[int], j: int):
-    """Cyclic order of faces along curve j, or (None, problem).
+    """Slot order of curve j through its faces, or (None, problem).
 
-    bucket is entry j of face_edges_by_direction.  Returns (cycle, None)
-    where cycle is a list of (face_index, edge) pairs; crossing `edge`
-    leads from that face to the next one in the list.
+    bucket is entry j of face_edges_by_direction.  Returns (slots, None):
+    slot s names the face bucket[2s] and the direction-j edge whose lower
+    endpoint is bucket[2s + 1], and crossing that edge leads from the face
+    to the next slot's face.
     """
     if not bucket:
         return None, f"direction {j} appears on no face"
-    # Slot s holds the face idxs[s] and the edge lows[s], an edge of
-    # direction j named by its lower endpoint.  The sweep lists a face's
-    # steps together, so a valid face fills the slot pair 2i, 2i + 1.
+    # The sweep lists a face's steps together, so a valid face fills the
+    # slot pair 2i, 2i + 1.
     idxs, lows = bucket[::2], bucket[1::2]
     heads = idxs[::2]
     if not (
@@ -255,59 +255,46 @@ def face_cycle(bucket: list[int], j: int):
         for idx, es in incident.items():
             if len(es) != 2 or es[0] == es[1]:
                 return None, f"face {idx} carries {len(es)} edges of direction {j}"
-    # The trace walks each side of an edge once, so every edge now fills two
-    # slots of distinct faces: the walk from face to face closes, and the
-    # question is only whether it reaches all.
-    total = len(heads)
-    first = dict(zip(reversed(lows), range(len(lows) - 1, -1, -1)))
-    last = dict(zip(lows, range(len(lows))))
-    jbit = 1 << (j - 1)
-    start = slot = 0 if lows[0] < lows[1] else 1
-    cycle = []
-    while len(cycle) < total:
-        edge = lows[slot]
-        cycle.append((idxs[slot], (edge, edge | jbit)))
-        # Cross the edge into the face of its other slot, then leave that
-        # face by its other edge.
-        other = last[edge]
-        if other == slot:
-            other = first[edge]
-        slot = other ^ 1
-        if slot == start:
-            break
-    if len(cycle) != total:
+    # The trace walks each side of an edge once, so every edge fills two
+    # slots of distinct faces, side by side in the sort by edge.  Crossing an
+    # edge and leaving a face by its other slot are involutions, so the walk
+    # closes; the question is only whether it reaches all faces.
+    order = sorted(range(len(lows)), key=lows.__getitem__)
+    across = [0] * len(lows)
+    for a, b in zip(order[::2], order[1::2]):
+        across[a], across[b] = b, a
+    start = 0 if lows[0] < lows[1] else 1
+    slots = [start]
+    slot = across[start] ^ 1
+    while slot != start:
+        slots.append(slot)
+        slot = across[slot] ^ 1
+    if len(slots) != len(heads):
         return None, (
             f"direction {j} splits into several closed curves "
-            f"({len(cycle)} of {total} faces reached)"
+            f"({len(slots)} of {len(heads)} faces reached)"
         )
-    return cycle, None
+    return slots, None
 
 
-def check_curves(g: PlaneDualGraph, sphere: bool | None = None) -> CheckResult:
+def check_curves(g: PlaneDualGraph, sphere: bool) -> CheckResult:
     """Inside and outside of every curve connected; each curve one closed cycle.
 
     Every edge of a direction other than j keeps bit j, so each component
     of G minus the direction-j edges lies on one side of curve j, and bit j
     of its first vertex tells which.
 
-    The rotation is consistent here, and the graph is a sphere when the
-    checks connected, euler and edge-conservation all pass.  Then no
-    per-direction walk is needed: in a graph embedded on the sphere an edge
-    set is a minimal cut exactly when its duals form one cycle (Whitney
-    1932; Diestel, Graph Theory, 4.6).  A passing face_cycle shows that the
-    duals of the direction-j edges form one cycle, so G minus those edges
-    has exactly two components, which the direction-j edges join across
-    bit j: one inside and one outside.  The per-direction walk runs only
-    where that argument does not apply, and its witness comes first, as it
-    would without the shortcut.
-
-    sphere is the caller's verdict of those three checks; without it they
-    run here.
+    The rotation is consistent here, and sphere is the caller's verdict that
+    the checks connected, euler and edge-conservation all pass, so that the
+    graph is a sphere.  Then no per-direction walk is needed: in a graph
+    embedded on the sphere an edge set is a minimal cut exactly when its
+    duals form one cycle (Whitney 1932; Diestel, Graph Theory, 4.6).  A
+    passing face_cycle shows that the duals of the direction-j edges form
+    one cycle, so G minus those edges has exactly two components, which the
+    direction-j edges join across bit j: one inside and one outside.  The
+    per-direction walk runs only where that argument does not apply, and
+    its witness comes first, as it would without the shortcut.
     """
-    if sphere is None:
-        sphere = all(
-            check(g).passed for check in (check_connected, check_euler, check_edge_conservation)
-        )
     buckets = face_edges_by_direction(g)
     for j in range(1, g.n + 1):
         problem = face_cycle(buckets[j], j)[1]

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import pytest
@@ -196,6 +197,30 @@ def test_verify_round_trip(tmp_path, capsys):
     assert json.loads(out)["passed"] is True
 
 
+def test_verify_frees_the_document_before_it_verifies(tmp_path, capsys, monkeypatch, doc8_text):
+    class Document(dict):
+        """A parsed document that a weak reference can watch."""
+
+    parsed = []
+
+    def loading(text):
+        doc = Document(load_json(text))
+        parsed.append(weakref.ref(doc))
+        return doc
+
+    def verifying(g):
+        assert parsed[0]() is None, "the parsed document is alive during verify_graph"
+        return verify_graph(g)
+
+    monkeypatch.setattr(cli, "load_json", loading)
+    monkeypatch.setattr(cli, "verify_graph", verifying)
+    target = tmp_path / "venn8.json"
+    target.write_text(doc8_text)
+    code, _out, err = run(capsys, ["verify", str(target)])
+    assert code == 0
+    assert "verdict: PASS" in err
+
+
 def test_verify_rejects_garbage(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
@@ -329,6 +354,11 @@ PINNED_OUTPUTS = [
         ["build", "--n", "8", "--format", "svg-primal"],
         "a323d1f7f57e336333667a501069f2f514cc28287b1e72fc32fce97045fdfa65",
     ),
+    # The one pinned drawing whose curves each pass through hundreds of faces.
+    (
+        ["build", "--n", "16", "--format", "svg-primal"],
+        "9d6aac9e239adaffdf6c722c9920c301a5a8f1ed1bbf4cf37461cf9bf5a71e21",
+    ),
     (["verify", DOC8, "--json"], "a326d071ae98ddc27fb1b185fb272800170d2a817f594889661b699b662b74bd"),
     (["partition", "--k", "3"], "376957c65120631dd511d65df4a7ec708a4f301b696ad3f9a5a7d552bcf8f4da"),
     (
@@ -347,6 +377,7 @@ PINNED_OUTPUTS = [
         "build-8-dot",
         "build-8-svg-dual",
         "build-8-svg-primal",
+        "build-16-svg-primal",
         "verify-8-json",
         "partition-3",
         "gray-3-2",

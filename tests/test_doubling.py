@@ -141,7 +141,19 @@ def test_outer_walk_rejects_an_outer_face_that_is_not_colorful(dual8):
     short = next(f for f in trace_faces(dual8) if len(f) == 10)
     rerooted = dataclasses.replace(dual8, outer_edge=short.vertices[:2])
     assert find_colorful_face(rerooted) is None
-    assert find_colorful_face(dataclasses.replace(dual8, outer_edge=(0, 255))) is None
+    missing = r"outer_edge \(0x0, 0xff\) is not in the rotation"
+    with pytest.raises(InconsistentRotation, match=missing):
+        find_colorful_face(dataclasses.replace(dual8, outer_edge=(0, 255)))
+
+
+@pytest.mark.parametrize("base, top", [("dual8", 16), ("dual16", 17)])
+def test_double_returns_the_outer_walk_of_the_graph_it_builds(request, base, top):
+    g = request.getfixturevalue(base)
+    while g.n < top:
+        g, walk = doubling._double(g, *find_colorful_face(g))
+        face = trace_faces(g)[g.outer_face_index()].vertices
+        i = face.index(g.outer_edge[0])
+        assert walk == face[i:] + face[:i]
 
 
 @pytest.fixture
@@ -168,7 +180,7 @@ def test_no_caller_can_change_the_shared_base_trace(fresh_bases):
 
 
 def test_both_entry_points_check_the_face_count(monkeypatch, dual8):
-    monkeypatch.setattr(doubling, "_double", lambda g, verts, vertex: g)
+    monkeypatch.setattr(doubling, "_double", lambda g, verts, vertex: (g, verts))
     with pytest.raises(DoublingError, match="produced 40 faces, expected 80"):
         build_venn(9)
     with pytest.raises(DoublingError, match="produced 40 faces, expected 80"):

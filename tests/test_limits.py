@@ -13,9 +13,9 @@ import tracemalloc
 
 import pytest
 
-from minvenn import cli, doubling, export, runs
+from minvenn import builder, cli, doubling, export, runs
 from minvenn.bases import partition_cycles
-from minvenn.builder import BuildError, build_venn_dual, partition_preview_graph
+from minvenn.builder import BuildError, build_venn_dual, driving_path, partition_preview_graph
 from minvenn.cli import main
 from minvenn.doubling import build_venn
 from minvenn.export import DocumentError, from_json
@@ -67,6 +67,14 @@ LIMIT_CASES = [
         f"ground set 2^{HUGE_SHOWN} exceeds the 32-bit mask model",
         None,
         id="build_venn_dual-huge",
+    ),
+    # The driving path of 2^k lives at level k - 1.
+    pytest.param(
+        lambda: driving_path(BIG),
+        ValueError,
+        f"ground set 2^{BIG - 1} exceeds the 32-bit mask model",
+        (builder, "product_path"),
+        id="driving_path",
     ),
     pytest.param(lambda: partition_cycles(BIG), ValueError, PAST_LEVEL, None, id="partition_cycles"),
     pytest.param(lambda: longrun_path(BIG), ValueError, PAST_LEVEL, None, id="longrun_path"),

@@ -13,7 +13,6 @@ from minvenn.plane_graph import PlaneDualGraph, trace_faces
 from minvenn.verify import (
     CheckResult,
     check_connected,
-    check_curves,
     check_euler,
     check_faces,
     check_spanning,
@@ -25,7 +24,7 @@ from minvenn.verify import (
     monotone_reference,
     verify_graph,
 )
-from test_verify_differential import mutate
+from test_verify_differential import check_curves_given_sphere, mutate
 
 LOWER_BOUNDS = {
     2: 2, 3: 3, 4: 5, 5: 8, 6: 13, 7: 21, 8: 37,
@@ -117,7 +116,7 @@ def test_disjoint_rings_fail_curve_checks():
     assert check_spanning(g).passed
     assert not check_euler(g).passed
     assert check_connected(g) == CheckResult("connected", False, "2 components")
-    assert check_curves(g) == CheckResult(
+    assert check_curves_given_sphere(g) == CheckResult(
         "curves-simple", False, "direction 1: inside splits into 2 components"
     )
     report = verify_graph(g)
@@ -138,12 +137,15 @@ def test_face_cycles_per_direction(dual8):
     buckets = face_edges_by_direction(g)
     assert len(buckets) == 9 and buckets[0] == []
     for j in range(1, 9):
-        cycle, problem = face_cycle(buckets[j], j)
+        bucket = buckets[j]
+        slots, problem = face_cycle(bucket, j)
         assert problem is None
         with_j = [idx for idx, f in enumerate(faces) if j in f.flips]
-        assert len(cycle) == len(with_j)
-        assert sorted(idx for idx, _edge in cycle) == sorted(with_j)
-        for idx, (u, v) in cycle:
+        assert len(slots) == len(with_j)
+        assert sorted(bucket[2 * s] for s in slots) == sorted(with_j)
+        for s in slots:
+            u = bucket[2 * s + 1]
+            v = u | 1 << (j - 1)
             assert u < v and u ^ v == 1 << (j - 1)
             assert v in g.rotation[u]
     assert face_cycle([], 3) == (None, "direction 3 appears on no face")
@@ -172,7 +174,7 @@ def walks(monkeypatch):
 @pytest.mark.parametrize("n", range(8, 17))
 def test_curves_on_a_sphere_take_one_walk(dual16, doubling_chain, walks, n):
     g = dual16 if n == 16 else doubling_chain[n]
-    assert check_curves(g).passed
+    assert check_curves_given_sphere(g).passed
     assert walks == [0]
 
 
@@ -181,16 +183,16 @@ def test_duality_shortcut_agrees_with_the_walks(doubling_chain, walks, n):
     # Denied the sphere, check_curves walks every direction and must reach
     # the verdict that duality gives on a valid graph.
     g = doubling_chain[n]
-    walked = check_curves(g, sphere=False)
+    walked = verify.check_curves(g, sphere=False)
     assert walks == [1 << (j - 1) for j in range(1, n + 1)]
-    assert walked == check_curves(g) == CheckResult("curves-simple", True)
+    assert walked == check_curves_given_sphere(g) == CheckResult("curves-simple", True)
 
 
 def test_curves_off_the_sphere_walk_each_direction(dual8, walks):
     # Disjoint rings fail connectivity, so direction 1 is walked; its inside
     # splits before its face cycle is looked at.
     rings = partition_preview_graph(partition_cycles(2))
-    witness = check_curves(rings)
+    witness = check_curves_given_sphere(rings)
     assert walks == [0, 1]
     assert witness == oracle.check_curves(rings)
     assert witness.witness == "direction 1: inside splits into 2 components"
@@ -199,7 +201,7 @@ def test_curves_off_the_sphere_walk_each_direction(dual8, walks):
     extra = mutate(dual8, 31, "add-edge")
     assert not check_euler(extra).passed
     walks.clear()
-    witness = check_curves(extra)
+    witness = check_curves_given_sphere(extra)
     assert walks == [0, 1, 2]
     assert witness == oracle.check_curves(extra)
     assert witness.witness == "face 3 carries 4 edges of direction 2"
@@ -212,7 +214,7 @@ def test_curves_walk_only_where_a_face_cycle_fails(dual8, walks):
     cut = mutate(dual8, 0, "delete-edge")
     assert check_connected(cut).passed and check_euler(cut).passed
     walks.clear()
-    witness = check_curves(cut)
+    witness = check_curves_given_sphere(cut)
     assert walks == [0, 2]
     assert witness == oracle.check_curves(cut)
     assert witness.witness == "direction 2: outside splits into 2 components"
@@ -333,7 +335,7 @@ def test_verify_graph_walks_once(dual8, walks):
     cut = mutate(dual8, 0, "delete-edge")
     report = verify_graph(cut)
     assert walks == [0, 2]
-    assert report.checks[6] == check_curves(cut)
+    assert report.checks[6] == check_curves_given_sphere(cut)
 
 
 def test_edge_conservation_witness_names_each_count_once(monkeypatch):

@@ -56,6 +56,21 @@ def oracle_report(g: PlaneDualGraph) -> dict:
         return verify.verify_graph(g).to_dict()
 
 
+def check_curves_given_sphere(g: PlaneDualGraph) -> CheckResult:
+    """verify.check_curves handed the sphere verdict that verify_graph hands it."""
+    sphere = (verify.check_connected, verify.check_euler, verify.check_edge_conservation)
+    return verify.check_curves(g, all(check(g).passed for check in sphere))
+
+
+def face_cycle_pairs(bucket: list[int], j: int):
+    """verify.face_cycle with its slots turned into the oracle's (face, (low, high)) pairs."""
+    slots, problem = verify.face_cycle(bucket, j)
+    if slots is None:
+        return None, problem
+    jbit = 1 << (j - 1)
+    return [(bucket[2 * s], (bucket[2 * s + 1], bucket[2 * s + 1] | jbit)) for s in slots], None
+
+
 def assert_agrees(g: PlaneDualGraph) -> dict[str, CheckResult]:
     """Assert both implementations agree on g; return the oracle's checks by name."""
     want = oracle_report(g)
@@ -63,7 +78,7 @@ def assert_agrees(g: PlaneDualGraph) -> dict[str, CheckResult]:
     checks = {c["name"]: CheckResult(**c) for c in want["checks"]}
     if "curves-simple" in checks:  # the rotation is consistent, so every check ran
         assert verify.check_connected(g) == checks["connected"]
-        assert verify.check_curves(g) == checks["curves-simple"]
+        assert check_curves_given_sphere(g) == checks["curves-simple"]
     return checks
 
 
@@ -114,7 +129,7 @@ def test_build_agrees_with_oracle(builds, n):
     if n <= 12:
         buckets = verify.face_edges_by_direction(g)
         for j in range(1, n + 1):
-            assert verify.face_cycle(buckets[j], j) == oracle.face_cycle(g, j)
+            assert face_cycle_pairs(buckets[j], j) == oracle.face_cycle(g, j)
 
 
 def test_mutations_agree_with_oracle(dual8, doubling_chain):
@@ -132,7 +147,7 @@ def test_mutations_agree_with_oracle(dual8, doubling_chain):
                     continue
                 buckets = verify.face_edges_by_direction(mutant)
                 for j in range(1, g.n + 1):
-                    assert verify.face_cycle(buckets[j], j) == oracle.face_cycle(mutant, j)
+                    assert face_cycle_pairs(buckets[j], j) == oracle.face_cycle(mutant, j)
                 witness = checks["curves-simple"].witness
                 if witness:
                     witnesses.add(re.sub(r"\d+", "#", witness))
