@@ -11,6 +11,7 @@ import argparse
 import gc
 import os
 import sys
+from functools import partial
 from itertools import chain
 
 from .bases import partition_cycles
@@ -24,22 +25,28 @@ from .export import (
     render_dual_svg,
     render_primal_svg,
     to_dot,
-    to_json,
+    to_json,  # unused here; perfbench/tracer.py wraps cli.to_json by name
+    write_json,
 )
 from .hypercube import DEFAULT_CAP, MAX_CAP, MAX_DIMENSION
 from .runs import mu, product_path, run_partition
 from .verify import expected_crossings, lower_bound, monotone_reference, verify_graph
 
 
-def _emit(text: str, out_path: str | None, parser) -> None:
+def _write_out(write, out_path: str | None, parser) -> None:
+    """Call write(handle) on the --out file, or on stdout without --out."""
     if out_path:
         try:
             with open(out_path, "w", encoding="utf-8") as fh:
-                fh.write(text)
+                write(fh)
         except OSError as exc:
             parser.error(f"cannot write --out: {exc}")
     else:
-        sys.stdout.write(text)
+        write(sys.stdout)
+
+
+def _emit(text: str, out_path: str | None, parser) -> None:
+    _write_out(lambda fh: fh.write(text), out_path, parser)
 
 
 def _check_out(path: str | None, parser) -> None:
@@ -62,9 +69,9 @@ def _cmd_build(args, parser) -> int:
     report = verify_graph(g)
     print(report.format_text(), file=sys.stderr)
     if args.format == "json":
-        text = dump_json(to_json(g, report=report))
+        _write_out(partial(write_json, g, report=report), args.out, parser)
     elif args.format == "dot":
-        text = to_dot(g)
+        _emit(to_dot(g), args.out, parser)
     else:
         try:
             if args.format == "svg-dual":
@@ -73,7 +80,7 @@ def _cmd_build(args, parser) -> int:
                 text = render_primal_svg(g, report=report)
         except RenderError as exc:
             parser.error(str(exc))
-    _emit(text, args.out, parser)
+        _emit(text, args.out, parser)
     return 0 if report.passed else 1
 
 

@@ -7,6 +7,12 @@ on load, and the concentric layout is kept as the base vertex of each ring.
 The rotation is a {vertex: neighbors} object, not a list, so that a document
 can leave a vertex out and reach the verifier's spanning check.
 
+write_json streams the document to a text handle: one dumps of the small
+keys, then the rotation, which sorts last, a chunk of rows at a time, so no
+str-keyed copy of the rotation and no whole-document string is ever held.
+to_json builds the same document as a dict, and dump_json(to_json(g))
+is the reference for the streamed bytes.
+
 The dual view draws the concentric rings of a power-of-two build, placing
 each vertex by its ring's base vertex (_layout_geometry); the primal
 view places one bubble per face and threads each curve through the midpoints
@@ -16,6 +22,7 @@ of its edges, topologically faithful but geometrically approximate.
 from __future__ import annotations
 
 import json
+from bisect import bisect_left
 from itertools import chain
 from math import atan2, cos, hypot, pi, sin
 
@@ -36,26 +43,79 @@ class DocumentError(ValueError):
     """A JSON document is malformed or disagrees with its own rotation system."""
 
 
-def to_json(g: PlaneDualGraph, report=None) -> dict:
-    """Format 3 document for the graph, optionally with its verification report."""
-    doc = {
+def _head(g: PlaneDualGraph, report) -> dict:
+    """Every key of the format 3 document but rotation, which sorts after them all."""
+    head = {
         "format_version": FORMAT_VERSION,
         "n": g.n,
         "construction": (
             {"k": g.construction[0], "m": g.construction[1]} if g.construction else None
         ),
-        "rotation": {str(v): list(g.rotation[v]) for v in sorted(g.rotation)},
         "outer_edge": list(g.outer_edge),
         "crossings": len(trace_faces(g)),
         "ring_bases": None if g.ring_bases is None else list(g.ring_bases),
     }
     if report is not None:
-        doc["report"] = report.to_dict()
+        head["report"] = report.to_dict()
+    return head
+
+
+def to_json(g: PlaneDualGraph, report=None) -> dict:
+    """Format 3 document for the graph, optionally with its verification report."""
+    doc = _head(g, report)
+    doc["rotation"] = {str(v): list(g.rotation[v]) for v in sorted(g.rotation)}
     return doc
 
 
 def dump_json(doc: dict) -> str:
     return json.dumps(doc, separators=(",", ":"), sort_keys=True) + "\n"
+
+
+# The rotation is written a chunk of about this many rows at a time.
+_ROWS = 4096
+_ROW_ENCODER = json.JSONEncoder(separators=(",", ":"))
+
+
+def _string_order(keys: list):
+    """The masks keys, sorted as ints, in chunks that follow the order of their strings.
+
+    Padded with zeros on the right to the widest key's width, a key keeps its
+    place in that order (two keys tie only where one string is a prefix of
+    the other), and the keys of each width form one sorted run.  So the keys
+    padded below a threshold t are a prefix of the order: each chunk takes
+    them from every run, for t rising in steps of about _ROWS keys, and sorts
+    only them by str.
+    """
+    if not keys:
+        return
+    width = len(str(keys[-1]))
+    step = max(1, 10**width * _ROWS // len(keys))
+    starts = [0] + [bisect_left(keys, 10**w) for w in range(1, width)]
+    for t in range(step, 10**width + step, step):
+        chunk = []
+        for w in range(width):  # the run of keys with w + 1 digits
+            end = bisect_left(keys, min(-(-t // 10 ** (width - 1 - w)), 10 ** (w + 1)), starts[w])
+            chunk += keys[starts[w] : end]
+            starts[w] = end
+        if chunk:
+            yield sorted(chunk, key=str)
+
+
+def write_json(g: PlaneDualGraph, out, report=None) -> None:
+    """Write dump_json(to_json(g, report)) to the text handle out, byte for byte.
+
+    The head goes first, from one dumps; its trace refuses a negative mask
+    before any row is written.  Then the rotation follows a chunk of rows at
+    a time, in the order sort_keys gives its str keys.
+    """
+    rotation = g.rotation
+    out.write(dump_json(_head(g, report))[: -len("}\n")] + ',"rotation":{')
+    sep = ""
+    for chunk in _string_order(sorted(rotation)):
+        # The encoder writes an int key as str() does and a tuple row as a list.
+        out.write(sep + _ROW_ENCODER.encode({v: rotation[v] for v in chunk})[1:-1])
+        sep = ","
+    out.write("}}\n")
 
 
 def _unique_keys(pairs: list) -> dict:

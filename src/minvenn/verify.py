@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from math import comb
 
 from .bases import _check_level
-from .hypercube import shown
+from .hypercube import MAX_DIMENSION, shown
 from .plane_graph import PlaneDualGraph, rotation_problems, trace_faces
 
 
@@ -78,8 +78,8 @@ class VerificationReport:
 
 def lower_bound(n: int) -> int:
     """Minimum crossing count of any n-Venn diagram: ceil((2^n - 2) / (n - 1))."""
-    if n < 2:
-        raise ValueError(f"lower bound needs n >= 2, got {shown(n)}")
+    if not 2 <= n <= MAX_DIMENSION:
+        raise ValueError(f"lower bound needs 2 <= n <= {MAX_DIMENSION}, got {shown(n)}")
     return -((2 - (1 << n)) // (n - 1))
 
 
@@ -88,8 +88,8 @@ def monotone_reference(n: int) -> int:
 
     The n = 1 row is 0 by table convention, not comb(1, 0) = 1.
     """
-    if n < 1:
-        raise ValueError(f"need n >= 1, got {shown(n)}")
+    if not 1 <= n <= MAX_DIMENSION:
+        raise ValueError(f"need 1 <= n <= {MAX_DIMENSION}, got {shown(n)}")
     if n == 1:
         return 0
     return comb(n, n // 2)
@@ -321,7 +321,9 @@ def _crossing_check(name: str, ok: bool, witness: str) -> CheckResult:
 def verify_graph(g: PlaneDualGraph) -> VerificationReport:
     """Run the full battery of structural checks and collect a report."""
     n = g.n
-    bound = lower_bound(n) if n >= 2 else 0
+    # Past the mask width no graph spans Q_n, and both references read 0.
+    bound = lower_bound(n) if 2 <= n <= MAX_DIMENSION else 0
+    monotone = monotone_reference(n) if n <= MAX_DIMENSION else 0
     expected = None if g.construction is None else expected_crossings(*g.construction)
 
     # The trace decides the rotation; rotation_problems only names a defect.
@@ -344,7 +346,7 @@ def verify_graph(g: PlaneDualGraph) -> VerificationReport:
         n=n,
         crossings=crossings,
         lower_bound=bound,
-        monotone_reference=monotone_reference(n),
+        monotone_reference=monotone,
         expected_crossings=expected,
         face_histogram=dict(Counter(map(len, faces))),
         checks=checks,

@@ -1,3 +1,4 @@
+import errno
 import gc
 import hashlib
 import json
@@ -95,6 +96,8 @@ def test_build_out_file(tmp_path, capsys):
     assert code == 0
     assert out == ""
     assert json.loads(target.read_text())["crossings"] == 40
+    # The file takes the same streamed bytes as stdout.
+    assert run(capsys, ["build", "--n", "8"])[1].encode() == target.read_bytes()
 
 
 def test_stats_rows(capsys):
@@ -326,6 +329,36 @@ def test_out_that_cannot_be_written_exits_2(tmp_path, command):
     assert list(tmp_path.iterdir()) == []
 
 
+class _FullDisk:
+    """An --out file that takes its first write, then fails as a full disk does."""
+
+    def __init__(self, *args, **kwargs):
+        self.fh, self.written = open(*args, **kwargs), False
+
+    def write(self, text):
+        if self.written:
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+        self.written = True
+        return self.fh.write(text)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.fh.close()
+
+
+def test_build_out_failing_after_the_head_exits_2(tmp_path, monkeypatch, capsys):
+    target = tmp_path / "v8.json"
+    monkeypatch.setattr(cli, "open", _FullDisk, raising=False)
+    code, out, err = run(capsys, ["build", "--n", "8", "--out", str(target)])
+    assert code == 2 and out == ""
+    assert "Traceback" not in err
+    full = f"[Errno {errno.ENOSPC}] {os.strerror(errno.ENOSPC)}"
+    assert err.splitlines()[-1] == f"minvenn: error: cannot write --out: {full}"
+    assert target.read_text().startswith('{"construction":{"k":3,"m":0},"crossings":40,')
+
+
 def test_verify_out_in_a_missing_directory_exits_2(tmp_path, capsys, doc8_text):
     doc = tmp_path / "venn8.json"
     doc.write_text(doc8_text)
@@ -342,6 +375,8 @@ def test_verify_out_in_a_missing_directory_exits_2(tmp_path, capsys, doc8_text):
 DOC8 = "<venn8.json>"
 PINNED_OUTPUTS = [
     (["build", "--n", "8"], "650d4dd77c41fac6e090f88e2afe8916608f17b4c823a0b648a53f4a53ebaa28"),
+    # The one pinned document whose rotation is written in more than one chunk of rows.
+    (["build", "--n", "16"], "c7b3a8ffe41b8d4a92417175055a37469c115af3613d22e9ea4ae5f43bb29cb8"),
     (
         ["build", "--n", "8", "--format", "dot"],
         "bd0de48d9038259cd1c1d0ebe759e8627be5dc4103e5dcad1bc198abe43b99f8",
@@ -374,6 +409,7 @@ PINNED_OUTPUTS = [
     PINNED_OUTPUTS,
     ids=[
         "build-8",
+        "build-16",
         "build-8-dot",
         "build-8-svg-dual",
         "build-8-svg-primal",

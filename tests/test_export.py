@@ -1,4 +1,6 @@
+import copy
 import dataclasses
+import io
 import json
 import os
 import subprocess
@@ -9,13 +11,15 @@ import xml.etree.ElementTree as ET
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import minvenn
+from minvenn import export
 from minvenn.bases import partition_cycles, ring_prefixes
 from minvenn.builder import partition_preview_graph
 from minvenn.cli import main
+from minvenn.doubling import build_venn
 from minvenn.export import (
     DocumentError,
     RenderError,
@@ -26,6 +30,7 @@ from minvenn.export import (
     render_primal_svg,
     to_dot,
     to_json,
+    write_json,
 )
 from minvenn.plane_graph import InconsistentRotation, PlaneDualGraph
 from minvenn.verify import VerificationReport, verify_graph
@@ -191,7 +196,8 @@ def test_from_json_fuzz_raises_only_value_error(doc8_text, fuzz_dir, data):
         if op == "delete":
             del parent[last]
         elif op == "retype":
-            parent[last] = data.draw(st.sampled_from(RETYPED))
+            # A copy: a later edit may truncate it, and RETYPED must not change.
+            parent[last] = copy.deepcopy(data.draw(st.sampled_from(RETYPED)))
         elif op == "truncate" and isinstance(value, list):
             del value[data.draw(st.integers(0, len(value))) :]
         elif op == "out-of-range" and type(value) is int:
@@ -212,6 +218,65 @@ def test_load_json_rejects_repeated_keys(doc8_text):
     assert load_json(doc8_text) == json.loads(doc8_text)
     with pytest.raises(DocumentError, match="key 'b' appears twice"):
         load_json('{"a": {"b": 1, "c": 2, "b": 3}}')
+
+
+def _streamed(g, report=None, rows=export._ROWS):
+    """write_json's text for g, the rotation written rows at a time."""
+    out = io.StringIO()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(export, "_ROWS", rows)
+        write_json(g, out, report=report)
+    return out.getvalue()
+
+
+@pytest.fixture(scope="session")
+def built_8_to_12():
+    """Built graphs n = 8..12, each with its report; n >= 9 are doubled, without ring_bases."""
+    return {n: (g, verify_graph(g)) for n in range(8, 13) for g in [build_venn(n)]}
+
+
+def _without(g, v, edit):
+    """g with vertex v's row deleted or emptied; unless unrepaired, v leaves every other row too."""
+    rotation = {u: row for u, row in g.rotation.items() if u != v}
+    if edit != "delete-unrepaired":
+        rotation = {u: tuple(w for w in row if w != v) for u, row in rotation.items()}
+    if edit == "empty":
+        rotation[v] = ()
+    return dataclasses.replace(g, rotation=rotation)
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(data=st.data())
+def test_streamed_document_equals_dump_json(built_8_to_12, data):
+    g, report = built_8_to_12[data.draw(st.integers(8, 12), label="n")]
+    edit = data.draw(st.sampled_from(("none", "delete", "empty", "delete-unrepaired")), label="edit")
+    if edit != "none":
+        g = _without(g, data.draw(st.sampled_from(sorted(g.rotation)), label="vertex"), edit)
+        report = verify_graph(g)
+    if not data.draw(st.booleans(), label="with report"):
+        report = None
+    rows = data.draw(st.sampled_from((1, 7, 100, export._ROWS)), label="rows per chunk")
+    try:
+        want = dump_json(to_json(g, report=report))
+    except InconsistentRotation as exc:
+        # The head's trace refuses the rotation before anything is written.
+        out = io.StringIO()
+        with pytest.raises(InconsistentRotation) as caught:
+            write_json(g, out, report=report)
+        assert str(caught.value) == str(exc) and out.getvalue() == ""
+    else:
+        assert _streamed(g, report, rows) == want
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(keys=st.sets(st.integers(0, (1 << 32) - 1), max_size=60), rows=st.integers(1, 8))
+@example(keys=set(), rows=1)
+@example(keys={0, 1, 9, 10, 11, 99, 100, 101, 1000, 2, 20, 200}, rows=1)
+def test_streamed_rotation_keeps_string_order(keys, rows):
+    # Isolated vertices of Q_32: every key width from 1 to 10 digits, and the
+    # empty rotation.  The document's rows follow sorted(map(str, rotation)).
+    g = PlaneDualGraph(32, {v: () for v in keys}, (0, 1))
+    assert _streamed(g, rows=rows) == dump_json(to_json(g))
 
 
 def test_gallery_documents_load(tmp_path, dual8, doubling_chain):

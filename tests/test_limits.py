@@ -13,14 +13,14 @@ import tracemalloc
 
 import pytest
 
-from minvenn import builder, cli, doubling, export, runs
+from minvenn import builder, cli, doubling, export, runs, verify
 from minvenn.bases import partition_cycles
 from minvenn.builder import BuildError, build_venn_dual, driving_path, partition_preview_graph
 from minvenn.cli import main
 from minvenn.doubling import build_venn
 from minvenn.export import DocumentError, from_json
 from minvenn.runs import longrun_path, product_path
-from minvenn.verify import expected_crossings
+from minvenn.verify import expected_crossings, lower_bound, monotone_reference
 
 BIG = 10**8
 PAST_LEVEL = f"ground set 2^{BIG} exceeds the 32-bit mask model"
@@ -107,6 +107,21 @@ LIMIT_CASES = [
         "ground set 2^6 exceeds the 32-bit mask model",
         None,
         id="expected_crossings-level",
+    ),
+    # The bound forms 2^n, the reference calls comb(n, n // 2).
+    pytest.param(
+        lambda: lower_bound(BIG),
+        ValueError,
+        f"lower bound needs 2 <= n <= 32, got {BIG}",
+        None,
+        id="lower_bound",
+    ),
+    pytest.param(
+        lambda: monotone_reference(HUGE),
+        ValueError,
+        f"need 1 <= n <= 32, got {HUGE_SHOWN}",
+        (verify, "comb"),
+        id="monotone_reference",
     ),
     pytest.param(
         lambda: partition_preview_graph(partition_cycles(BIG)),
