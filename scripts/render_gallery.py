@@ -23,7 +23,7 @@ def main() -> None:
     with (out / "venn8.json").open("w", encoding="utf-8") as fh:
         write_json(g8, fh, report=report)
     (out / "venn8-dual.svg").write_text(render_dual_svg(g8))
-    (out / "venn8-primal.svg").write_text(render_primal_svg(g8))
+    (out / "venn8-primal.svg").write_text(render_primal_svg(g8, report=report))
 
     g9 = double(g8)
     with (out / "venn9.json").open("w", encoding="utf-8") as fh:

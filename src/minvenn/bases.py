@@ -11,6 +11,7 @@ long-run Gray code and the concentric diagram builder.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .hypercube import DEFAULT_CAP, MAX_LEVEL, mask_of, shown, span
 
@@ -61,15 +62,16 @@ def partition_cycles(k: int) -> list[list[int]]:
     return [[x ^ m for m in prefixes] for x in span(basis_C(k).elements)]
 
 
-def ring_prefixes(n: int) -> list[int]:
+@lru_cache(maxsize=None)
+def ring_prefixes(n: int) -> tuple[int, ...]:
     """Masks m_p with ring vertex p equal to base ^ m_p, p = 0, ..., 2n-1.
 
     Positions 0..n walk the flips 1..n from the base vertex; positions past n
     continue from the complement of the base vertex.
     """
     full = (1 << n) - 1
-    pref = [(1 << j) - 1 for j in range(n + 1)]
-    return pref + [full ^ pref[t] for t in range(1, n)]
+    pref = tuple((1 << j) - 1 for j in range(n + 1))
+    return pref + tuple(full ^ pref[t] for t in range(1, n))
 
 
 def cross_edges(x: int, a: int, b: int, kind: str, n: int) -> tuple[tuple[int, int], ...]:
@@ -78,56 +80,31 @@ def cross_edges(x: int, a: int, b: int, kind: str, n: int) -> tuple[tuple[int, i
     Kinds: "E" is the four-edge set for a generic pair {a, b}; "E_down" and
     "E_up" are the three-edge sets for pairs {a, a+2}, each edge an (outer,
     inner) pair with outer on the cycle through x; "F" is the 4-cycle whose
-    symmetric difference merges the two 2n-cycles into one 4n-cycle.
+    symmetric difference merges the two 2n-cycles into one 4n-cycle.  Each
+    kind is a table of ring positions (see ring_prefixes), position 2n
+    being position 0.
     """
     if not 1 <= a < b <= n:
         raise ValueError(f"need 1 <= a < b <= n, got a={a}, b={b}, n={n}")
-    full = (1 << n) - 1
+    pref = ring_prefixes(n)
+    two_n = 2 * n
     y = x ^ (1 << (a - 1)) ^ (1 << (b - 1))
-
-    def w(j: int) -> int:
-        return x ^ ((1 << j) - 1)
-
-    def u(j: int) -> int:
-        return y ^ ((1 << j) - 1)
-
-    def wb(j: int) -> int:
-        return x ^ full ^ ((1 << j) - 1)
-
-    def ub(j: int) -> int:
-        return y ^ full ^ ((1 << j) - 1)
-
+    if kind == "F":
+        # Closed 4-cycle on positions a-1, a of ring x, then a-1, a of ring y,
+        # with flips (a, b, a, b), listed as its four edges.
+        quad = (x ^ pref[a - 1], x ^ pref[a], y ^ pref[a - 1], y ^ pref[a])
+        return tuple(zip(quad, quad[1:] + quad[:1]))
     if kind == "E":
-        return (
-            (w(a - 1), u(a)),
-            (w(b - 1), u(b)),
-            (wb(a - 1), ub(a)),
-            (wb(b - 1), ub(b)),
-        )
-    if kind in ("E_down", "E_up"):
+        table = ((a - 1, a), (b - 1, b), (n + a - 1, n + a), (n + b - 1, n + b))
+    elif kind in ("E_down", "E_up"):
         if b != a + 2:
             raise ValueError(f"{kind} requires a pair of the form {{a, a+2}}")
-        if kind == "E_down":
-            return (
-                (w(a - 1), u(a)),
-                (w(a + 1), u(a + 2)),
-                (wb(a - 1), ub(a + 2)),
-            )
-        # E_up mirrors E_down with its short faces shifted up by one ring
-        # position, so consecutive decreasing-run insertions share the ring
-        # edge that the builder later removes.
-        return (
-            (w(a), u(a - 1)),
-            (w(a + 2), u(a + 1)),
-            (wb(a + 2), ub(a - 1)),
-        )
-    if kind == "F":
-        # Closed 4-cycle (w_{a-1}, w_a, u_{a-1}, u_a) with flips (a, b, a, b),
-        # listed as its four edges.
-        return (
-            (w(a - 1), w(a)),
-            (w(a), u(a - 1)),
-            (u(a - 1), u(a)),
-            (u(a), w(a - 1)),
-        )
-    raise ValueError(f"unknown cross edge kind {kind!r}")
+        table = ((a - 1, a), (a + 1, a + 2), (n + a - 1, n + a + 2))
+        if kind == "E_up":
+            # E_up mirrors E_down with its short faces shifted up by one ring
+            # position, so consecutive decreasing-run insertions share the
+            # ring edge that the builder later removes.
+            table = tuple((q, p) for p, q in table)
+    else:
+        raise ValueError(f"unknown cross edge kind {kind!r}")
+    return tuple((x ^ pref[p % two_n], y ^ pref[q % two_n]) for p, q in table)

@@ -57,6 +57,7 @@ def build_venn_dual(k: int) -> PlaneDualGraph:
         raise BuildError(f"driving path leaves Q_{d}")
     parts = run_partition(sigma, rho)
 
+    prefixes = ring_prefixes(n)
     # For s <= rho the pair is {2s-1, 2s+1}, the odd chain's s-th element.
     pairs = _c_pairs(k)
     cmasks = [mask_of(p) for p in pairs]
@@ -89,7 +90,7 @@ def build_venn_dual(k: int) -> PlaneDualGraph:
             if r_prev is not None and r_prev == r_cur:
                 # Cut ring x's edge from position a_rm - 1 to a_rm.
                 a_rm = a if parts.runs[r_cur].orientation == INCREASING else b
-                cut.add(x ^ ((1 << (a_rm - 1)) - 1))
+                cut.add(x ^ prefixes[a_rm - 1])
 
     g = _concentric_graph(xs, n, (k, 0), cross_in, cross_out, cut)
     check_face_catalog(g)
@@ -147,7 +148,7 @@ def _concentric_graph(
     return PlaneDualGraph(
         n=n,
         rotation=rotation,
-        outer_edge=(ring_bases[0], ring_bases[0] ^ 1),
+        outer_edge=(ring_bases[0], ring_bases[0] ^ prefixes[1]),
         construction=construction,
         ring_bases=tuple(ring_bases),
     )

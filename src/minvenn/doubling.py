@@ -20,20 +20,18 @@ class DoublingError(ValueError):
     """The graph cannot be doubled (typically: its outer face is not colorful)."""
 
 
-def _colorful_vertex(verts: tuple[int, ...], n: int) -> int | None:
-    """Smallest vertex of the face walk verts whose complement is also on it."""
+def _colorful(verts: tuple[int, ...], n: int) -> tuple[tuple[int, ...], int] | None:
+    """verts and its smallest vertex whose complement is also on it.
+
+    None if the face walk verts is not colorful.
+    """
     if len(verts) != 2 * n:
         return None
     members = set(verts)
     if len(members) != len(verts):
         return None
     full = (1 << n) - 1
-    return min((v for v in members if v ^ full in members), default=None)
-
-
-def _colorful(verts: tuple[int, ...], n: int) -> tuple[tuple[int, ...], int] | None:
-    """verts and its colorful vertex, or None if the face walk verts is not colorful."""
-    v = _colorful_vertex(verts, n)
+    v = min((v for v in members if v ^ full in members), default=None)
     return None if v is None else (verts, v)
 
 

@@ -145,17 +145,17 @@ def _int_lists(values) -> bool:
     return set(map(type, values)) <= {list} and set(map(type, chain.from_iterable(values))) <= {int}
 
 
-def _vertex_table(table, field: str, what: str) -> dict:
-    """A {vertex: (int, ...)} table keyed by vertex number, each key as str() writes it."""
+def _vertex_table(table) -> dict:
+    """The rotation as a {vertex: (int, ...)} table, each key as str() writes it."""
     _require(
         isinstance(table, dict) and _int_lists(table.values()),
-        f"{field} must map each vertex to {what}",
+        "rotation must map each vertex to a list of integers",
     )
     try:
         keys = list(map(int, table))
     except (TypeError, ValueError):
         keys = []
-    _require(list(map(str, keys)) == list(table), f"{field} has a key that is not a vertex number")
+    _require(list(map(str, keys)) == list(table), "rotation has a key that is not a vertex number")
     return dict(zip(keys, map(tuple, table.values())))
 
 
@@ -178,7 +178,7 @@ def from_json(doc: dict) -> PlaneDualGraph:
         type(n) is int and 1 <= n <= MAX_DIMENSION,
         f"n must be an integer in [1, {MAX_DIMENSION}]",
     )
-    rotation = _vertex_table(doc.get("rotation"), "rotation", "a list of integers")
+    rotation = _vertex_table(doc.get("rotation"))
     edge = doc.get("outer_edge")
     _require(_int_lists([edge]) and len(edge) == 2, "outer_edge must be a [u, v] pair of integers")
     u, v = edge

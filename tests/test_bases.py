@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 
 from lemmas import (
@@ -10,7 +12,14 @@ from lemmas import (
     spans_equal,
     walk,
 )
-from minvenn.bases import Basis, basis_C, cross_edges, partition_cycles, ring_prefixes
+from minvenn.bases import (
+    Basis,
+    _c_pairs,
+    basis_C,
+    cross_edges,
+    partition_cycles,
+    ring_prefixes,
+)
 from minvenn.hypercube import edge_direction, elements_of, mask_of, span
 
 
@@ -175,6 +184,21 @@ def test_cross_edge_set_kind_constraints():
         cross_edges(0, 2, 9, "E", 8)
     with pytest.raises(ValueError):
         cross_edges(0, 2, 6, "bogus", 8)
+
+
+def test_cross_edges_digest():
+    # Every kind on every ring of k = 2, 3, 4 and every pair of _c_pairs,
+    # including pairs and kinds that no build reaches, hashed as one stream.
+    h = hashlib.sha256()
+    for k in (2, 3, 4):
+        n = 1 << k
+        for ring in partition_cycles(k):
+            x = ring[0]
+            for a, b in _c_pairs(k):
+                kinds = ("E", "E_down", "E_up", "F") if b == a + 2 else ("E", "F")
+                for kind in kinds:
+                    h.update(repr((k, x, a, b, kind, cross_edges(x, a, b, kind, n))).encode())
+    assert h.hexdigest() == "e612995d78ed64ae637f94b88ea565b1a757c2ef2bc15a8021687ad9e85d3fd3"
 
 
 @pytest.mark.parametrize("kind,count", [("E", 4), ("E_down", 3), ("E_up", 3)])

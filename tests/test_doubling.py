@@ -23,10 +23,10 @@ def test_colorful_face_of_base_build(dual8):
 
 def test_short_faces_are_not_colorful(dual16):
     g = dual16
-    from minvenn.doubling import _colorful_vertex
+    from minvenn.doubling import _colorful
 
     short = next(f for f in trace_faces(g) if len(f) == 6)
-    assert _colorful_vertex(short.vertices, g.n) is None
+    assert _colorful(short.vertices, g.n) is None
 
 
 def test_double_counts(dual8):
