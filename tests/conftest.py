@@ -30,9 +30,27 @@ def doubling_chain(dual8):
     return graphs
 
 
-# SHA-256 of the n = 8 document as the format 1 and format 2 writers laid it out.
+# SHA-256 of the n = 8 document as the format 1, 2 and 3 writers laid it out.
 FORMAT_1_DOC8_SHA256 = "6f76d22a33fe451a943ff12c585512e2a9cfd3e57ad045edc1ae6097a63cc700"
 FORMAT_2_DOC8_SHA256 = "5eac4ec3f3d1c6f527dc35eeaf6f5ed9108a1c34df86b601db49e4a3d0944e56"
+FORMAT_3_DOC8_SHA256 = "fc6d87ee41ba82da54dc46dc57631d204835850e36bdc6e6936ae1e5d4b97a38"
+
+
+def rotation_keys(rotation):
+    """The rows, vertices and row_of of a format 4 document for a rotation of hypercube edges."""
+    rows, vertices = {}, sorted(rotation)
+    row_of = [
+        rows.setdefault(tuple((u ^ v).bit_length() for u in rotation[v]), len(rows)) for v in vertices
+    ]
+    return {"rows": list(map(list, rows)), "vertices": vertices, "row_of": row_of}
+
+
+def _format_3_rotation(doc):
+    """Replace rows, vertices and row_of by the {str(vertex): neighbors} rotation of formats 1-3."""
+    g = from_json(doc)
+    del doc["rows"], doc["vertices"], doc["row_of"]
+    doc["rotation"] = {str(v): list(nbrs) for v, nbrs in g.rotation.items()}
+    return g
 
 
 def _layout_hint(doc):
@@ -46,7 +64,7 @@ def _layout_hint(doc):
 
 def _format_version_1(doc):
     """Rewrite the n = 8 document into the format 1 layout, byte for byte."""
-    g = from_json(doc)
+    g = _format_3_rotation(doc)
     del doc["format_version"], doc["outer_edge"]
     _layout_hint(doc)
     doc.update(
@@ -61,6 +79,7 @@ def _format_version_1(doc):
 
 def _format_version_2(doc):
     """Rewrite the n = 8 document into the format 2 layout, byte for byte."""
+    _format_3_rotation(doc)
     doc["format_version"] = 2
     _layout_hint(doc)
     text = json.dumps(doc, separators=(",", ":"), sort_keys=True) + "\n"
@@ -68,20 +87,42 @@ def _format_version_2(doc):
     assert hashlib.sha256(text.encode()).hexdigest() == FORMAT_2_DOC8_SHA256
 
 
+def _format_version_3(doc):
+    """Rewrite the n = 8 document into the format 3 layout, byte for byte."""
+    _format_3_rotation(doc)
+    doc["format_version"] = 3
+    text = json.dumps(doc, separators=(",", ":"), sort_keys=True) + "\n"
+    assert len(text) == 4198
+    assert hashlib.sha256(text.encode()).hexdigest() == FORMAT_3_DOC8_SHA256
+
+
+def _row_with_1(doc):
+    """The first row that lists direction 1."""
+    return next(row for row in doc["rows"] if 1 in row)
+
+
 # Malformed variants of the n = 8 document, each of which from_json must
 # reject with DocumentError.  n is only ever pushed just past its bound:
 # a huge n would make any unbounded code path allocate 2^n.
 MALFORMED_DOCS = {
-    "rotation-list": lambda doc: doc.update(rotation=list(doc["rotation"].values())),
-    # True stands for neighbor 1 of vertex 0, and would pass every later check
-    "rotation-bool": lambda doc: doc["rotation"]["0"].__setitem__(0, True),
-    # "01" names vertex 1 a second time
-    "rotation-duplicate-key": lambda doc: doc["rotation"].update({"01": doc["rotation"]["1"]}),
+    "rotation-list": lambda doc: doc.update(rows=dict(enumerate(doc["rows"]))),
+    # True stands for direction 1, and would pass every later check
+    "rotation-bool": lambda doc: (row := _row_with_1(doc)).__setitem__(row.index(1), True),
+    # vertex 1 listed a second time, with its own row
+    "rotation-duplicate-key": lambda doc: (
+        doc["vertices"].insert(1, doc["vertices"][1]),
+        doc["row_of"].insert(1, doc["row_of"][1]),
+    ),
+    "direction-0": lambda doc: doc["rows"][0].__setitem__(0, 0),
+    "direction-n-plus-1": lambda doc: doc["rows"][0].__setitem__(0, 9),
+    "row-of-outside-rows": lambda doc: doc["row_of"].__setitem__(0, len(doc["rows"])),
+    "row-of-wrong-length": lambda doc: doc["row_of"].pop(),
     "outer-edge-one-vertex": lambda doc: doc.update(outer_edge=doc["outer_edge"][:1]),
     # 0 and 255 are not adjacent in Q_8
     "outer-edge-not-an-edge": lambda doc: doc.update(outer_edge=[0, 255]),
     "format-version-1": _format_version_1,
     "format-version-2": _format_version_2,
+    "format-version-3": _format_version_3,
     "ring-bases-not-list": lambda doc: doc.update(ring_bases=doc["ring_bases"][0]),
     # 2^20 is no vertex of Q_8
     "ring-bases-not-vertices": lambda doc: doc.update(ring_bases=[1 << 20]),

@@ -172,16 +172,17 @@ def test_build_guards():
 
 # SHA-256 of the JSON document of every base build variant (see _variant):
 # the concentric build is deterministic, so a digest changes only with the
-# build or the format.
+# build or the format.  Format 4 re-pinned all eight; each variant's rotation,
+# written in the format 3 layout, still gave the format 3 digest.
 BASE_DIGESTS = {
-    (3, "earlier", True): "fc6d87ee41ba82da54dc46dc57631d204835850e36bdc6e6936ae1e5d4b97a38",
-    (3, "earlier", False): "7d4fd136cef4b954f7e88c106d733eeeae660162d597c840fdb6d54f6eb6a9d4",
-    (3, "later", True): "bbf1c5307147fc714c290d1b03929067d4a7864d1b1a25319f23d12c314e4962",
-    (3, "later", False): "b842f4ec8df085c21183fe1d3aec9710f04b666b70be9dffc03f9ed98ae09d05",
-    (4, "earlier", True): "dc4cc9b0e17ec82420c8df2486c6f4bce9f9110f1e24aaab00e12de530e9dfe8",
-    (4, "earlier", False): "5b40de32672bb45e01881c7a03dce5fac3cd64d1b97c7e41dd357c41bed76a93",
-    (4, "later", True): "2bc5d4a63d75a1b927d5487edbdf55f344c0fe9e25bf2546ac6edc2ddc92faed",
-    (4, "later", False): "00bbaa9719892ec4a259a909a2be3b6e8a59fe6ee2fb952492e22b203ed8c3f0",
+    (3, "earlier", True): "f42c45b567d1607f9d3025fde66462a879e6497d8c6cb2a6869b4844f0d0b50b",
+    (3, "earlier", False): "cf7e0b716fac9d20b799761411e2549bfac0b75df3841f765674ac537180360d",
+    (3, "later", True): "122b508dd3f263c90dcfa351b18dbb1a09b3320fd5ba93027b3a322f53ec7fa6",
+    (3, "later", False): "a6884d84ec9422c401d3a094f01385c41f46af45d8172aac2c7ea426b7cc1b9e",
+    (4, "earlier", True): "54c494a50ff8637e35db06a8c5b52ee68fa80f3e1c5f0ef9949b70f07da57c2b",
+    (4, "earlier", False): "854c92ac9304fb2eabbfb96a591b87656286347408c678b0c6fbd4be3dbca186",
+    (4, "later", True): "80241a12a0fd43fb559ddd9106b9d069880b83776a5593890d84470f6e288a3b",
+    (4, "later", False): "de4deeee5ee45a096175549407f9314b3b9191f1468552dec246dff502e9482a",
 }
 
 

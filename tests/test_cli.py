@@ -296,13 +296,13 @@ def test_verify_malformed_document_exits_2(tmp_path, malformed_doc):
 
 
 def test_verify_rejects_repeated_vertex_key(tmp_path, doc8_text):
-    # A plain JSON parser keeps the later, genuine entry for vertex 1, so
+    # A plain JSON parser keeps the later, genuine list of vertices, so
     # without the check this document would verify PASS.
-    text = doc8_text.replace('"rotation":{', '"rotation":{"1":[0,3,5,77],', 1)
+    text = doc8_text.replace("{", '{"vertices":[0,1,3,5,77],', 1)
     assert json.loads(text) == json.loads(doc8_text)
     target = tmp_path / "repeated.json"
     target.write_text(text)
-    assert "key '1' appears twice in one object" in assert_exits_2("verify", target)
+    assert "key 'vertices' appears twice in one object" in assert_exits_2("verify", target)
 
 
 def test_verify_deeply_nested_json_exits_2(tmp_path):
@@ -330,16 +330,17 @@ def test_out_that_cannot_be_written_exits_2(tmp_path, command):
 
 
 class _FullDisk:
-    """An --out file that takes its first write, then fails as a full disk does."""
+    """An --out file that takes 1024 characters, then fails as a full disk does."""
 
     def __init__(self, *args, **kwargs):
-        self.fh, self.written = open(*args, **kwargs), False
+        self.fh, self.room = open(*args, **kwargs), 1024
 
     def write(self, text):
-        if self.written:
+        taken = self.fh.write(text[: self.room])
+        self.room -= taken
+        if taken < len(text):
             raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
-        self.written = True
-        return self.fh.write(text)
+        return taken
 
     def __enter__(self):
         return self
@@ -374,9 +375,9 @@ def test_verify_out_in_a_missing_directory_exits_2(tmp_path, capsys, doc8_text):
 # DOC8 stands for the path of the n = 8 document.
 DOC8 = "<venn8.json>"
 PINNED_OUTPUTS = [
-    (["build", "--n", "8"], "650d4dd77c41fac6e090f88e2afe8916608f17b4c823a0b648a53f4a53ebaa28"),
-    # The one pinned document whose rotation is written in more than one chunk of rows.
-    (["build", "--n", "16"], "c7b3a8ffe41b8d4a92417175055a37469c115af3613d22e9ea4ae5f43bb29cb8"),
+    (["build", "--n", "8"], "c2827af6694d05d95f612d48b0b528914cbf53b15db8cccf5a2af8d48a31932e"),
+    # The one pinned document whose rows are each shared by many vertices.
+    (["build", "--n", "16"], "b7614e79b9f34a78bf34d72f85e463fa7222c26d51f4ff153716077bfb480b9d"),
     (
         ["build", "--n", "8", "--format", "dot"],
         "bd0de48d9038259cd1c1d0ebe759e8627be5dc4103e5dcad1bc198abe43b99f8",

@@ -11,11 +11,10 @@ import xml.etree.ElementTree as ET
 from pathlib import Path
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import minvenn
-from minvenn import export
 from minvenn.bases import partition_cycles, ring_prefixes
 from minvenn.builder import partition_preview_graph
 from minvenn.cli import main
@@ -32,8 +31,10 @@ from minvenn.export import (
     to_json,
     write_json,
 )
-from minvenn.plane_graph import InconsistentRotation, PlaneDualGraph
+from minvenn.plane_graph import InconsistentRotation, PlaneDualGraph, rotation_problems
 from minvenn.verify import VerificationReport, verify_graph
+
+from conftest import rotation_keys
 
 
 def _single_ring_graph(n):
@@ -64,7 +65,8 @@ def test_round_trip_base_build(dual8):
 def test_round_trip_n16_document_is_small(dual16):
     g = dual16
     text = dump_json(to_json(g))
-    assert len(text) <= 1_500_000  # 2^d ring bases, not a [ring, position] per vertex
+    # 2^d ring bases, not a [ring, position] per vertex, and 130 distinct rows
+    assert len(text) <= 600_000
     assert from_json(load_json(text)) == g
 
 
@@ -84,8 +86,8 @@ def test_round_trip_doubled(doubling_chain):
 
 
 def test_round_trip_non_spanning_ring(tmp_path, capsys):
-    # 8 of the 16 vertices of Q_4.  Only a rotation keyed by vertex can leave
-    # the other 8 out, and so reach the spanning check from a document.
+    # 8 of the 16 vertices of Q_4.  Only a document that lists its vertices
+    # can leave the other 8 out, and so reach the spanning check.
     g = _single_ring_graph(4)
     doc = to_json(g)
     assert from_json(doc) == g
@@ -101,14 +103,15 @@ def test_sparse_document_with_large_n_stays_small(tmp_path, capsys):
     high = 0x7FFFFFFF
     top = high | 1 << 31
     doc = {
-        "format_version": 3,
+        "format_version": 4,
         "n": 32,
         "construction": None,
-        "rotation": {"0": [1], "1": [0], str(high): [top], str(top): [high]},
+        **rotation_keys({0: [1], 1: [0], high: [top], top: [high]}),
         "outer_edge": [0, 1],
         "crossings": 2,
         "ring_bases": None,
     }
+    assert doc["rows"] == [[1], [32]]
     target = tmp_path / "sparse32.json"
     target.write_text(dump_json(doc))
     tracemalloc.start()
@@ -125,8 +128,7 @@ def test_sparse_document_with_large_n_stays_small(tmp_path, capsys):
 def test_from_json_rejects_tampered_rotation(dual8):
     g = dual8
     doc = json.loads(dump_json(to_json(g)))
-    victim = next(iter(doc["rotation"]))
-    doc["rotation"][victim] = doc["rotation"][victim][:-1]
+    doc["rows"][doc["row_of"][0]].pop()
     with pytest.raises(ValueError):
         from_json(doc)
 
@@ -141,17 +143,59 @@ def test_from_json_rejects_tampered_faces(dual8):
 
 
 def test_from_json_refuses_a_star_in_linear_time(doc8_text):
-    # Vertex 0 lists 40,000 leaves, none a hypercube neighbor.  The trace's
-    # degree bound refuses it before any walk, whose neighbor scans would
-    # take time quadratic in that list.
-    leaves = [3 * i + 3 for i in range(40_000)]
+    # Each of 40,000 vertices is a star: all share one row of 40,000
+    # directions.  Spelled out, the table would hold 1.6 billion neighbors;
+    # the bound of n directions per row refuses the document before any is made.
     doc = json.loads(doc8_text)
-    rotation = {"0": leaves, **{str(u): [0] for u in leaves}}
-    doc.update(n=32, rotation=rotation, outer_edge=[0, 3], construction=None, ring_bases=None)
+    doc.update(
+        n=32,
+        rows=[[1 + i % 32 for i in range(40_000)]],
+        vertices=list(range(40_000)),
+        row_of=[0] * 40_000,
+        construction=None,
+        ring_bases=None,
+    )
     start = time.perf_counter()
-    with pytest.raises(DocumentError, match=r"\(0x3, 0x0\) is not a hypercube edge"):
+    with pytest.raises(DocumentError, match=r"row 0 must list at most 32 directions"):
         from_json(doc)
     assert time.perf_counter() - start < 1
+
+
+def _one_vertex_edit(doc, v, edit):
+    """doc with vertex v's row, in a row of its own, missing its first direction or repeating it."""
+    i = doc["vertices"].index(v)
+    row = doc["rows"][doc["row_of"][i]]
+    doc["rows"].append(row[1:] if edit == "one-sided-edge" else row + row[:1])
+    doc["row_of"][i] = len(doc["rows"]) - 1
+    return doc
+
+
+@pytest.mark.parametrize(
+    "edit, witness",
+    [
+        ("one-sided-edge", "edge (0x1, 0x3) missing its reverse entry"),
+        ("repeated-direction", "vertex 0x1 lists a neighbor twice"),
+    ],
+    ids=["one-sided-edge", "repeated-direction"],
+)
+def test_rotation_defect_keeps_its_witness(tmp_path, dual8, doc8_text, edit, witness):
+    # Rows of directions can still write a one-sided edge or a repeated
+    # neighbor; the trace refuses both and rotation_problems names them.
+    doc = _one_vertex_edit(json.loads(doc8_text), 1, edit)
+    nbrs = [1 ^ 1 << (d - 1) for d in doc["rows"][-1]]
+    assert rotation_problems({**dual8.rotation, 1: tuple(nbrs)}, 8)[0] == witness
+    with pytest.raises(DocumentError) as caught:
+        from_json(doc)
+    assert str(caught.value) == f"document rotation is inconsistent: {witness}"
+    target = tmp_path / "defect.json"
+    target.write_text(json.dumps(doc))
+    assert main(["verify", str(target)]) == 2
+
+
+def test_loaded_neighbors_are_key_objects(dual16):
+    g = from_json(load_json(dump_json(to_json(dual16))))
+    canon = {v: v for v in g.rotation}
+    assert all(w is canon[w] for row in g.rotation.values() for w in row)
 
 
 def test_from_json_rejects_malformed_document(malformed_doc):
@@ -220,15 +264,6 @@ def test_load_json_rejects_repeated_keys(doc8_text):
         load_json('{"a": {"b": 1, "c": 2, "b": 3}}')
 
 
-def _streamed(g, report=None, rows=export._ROWS):
-    """write_json's text for g, the rotation written rows at a time."""
-    out = io.StringIO()
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(export, "_ROWS", rows)
-        write_json(g, out, report=report)
-    return out.getvalue()
-
-
 @pytest.fixture(scope="session")
 def built_8_to_12():
     """Built graphs n = 8..12, each with its report; n >= 9 are doubled, without ring_bases."""
@@ -255,28 +290,17 @@ def test_streamed_document_equals_dump_json(built_8_to_12, data):
         report = verify_graph(g)
     if not data.draw(st.booleans(), label="with report"):
         report = None
-    rows = data.draw(st.sampled_from((1, 7, 100, export._ROWS)), label="rows per chunk")
+    out = io.StringIO()
     try:
         want = dump_json(to_json(g, report=report))
     except InconsistentRotation as exc:
-        # The head's trace refuses the rotation before anything is written.
-        out = io.StringIO()
+        # The trace refuses the rotation before anything is written.
         with pytest.raises(InconsistentRotation) as caught:
             write_json(g, out, report=report)
         assert str(caught.value) == str(exc) and out.getvalue() == ""
     else:
-        assert _streamed(g, report, rows) == want
-
-
-@settings(derandomize=True, max_examples=100, deadline=None)
-@given(keys=st.sets(st.integers(0, (1 << 32) - 1), max_size=60), rows=st.integers(1, 8))
-@example(keys=set(), rows=1)
-@example(keys={0, 1, 9, 10, 11, 99, 100, 101, 1000, 2, 20, 200}, rows=1)
-def test_streamed_rotation_keeps_string_order(keys, rows):
-    # Isolated vertices of Q_32: every key width from 1 to 10 digits, and the
-    # empty rotation.  The document's rows follow sorted(map(str, rotation)).
-    g = PlaneDualGraph(32, {v: () for v in keys}, (0, 1))
-    assert _streamed(g, rows=rows) == dump_json(to_json(g))
+        write_json(g, out, report=report)
+        assert out.getvalue() == want
 
 
 def test_gallery_documents_load(tmp_path, dual8, doubling_chain):

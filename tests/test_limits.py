@@ -27,7 +27,7 @@ PAST_LEVEL = f"ground set 2^{BIG} exceeds the 32-bit mask model"
 # 10^5000 takes 16610 bits.
 HUGE = 10**5000
 HUGE_SHOWN = "<int of 16610 bits>"
-N33_DOC = {"format_version": 3, "n": 33, "rotation": {"0": [1], "1": [0]}}
+N33_DOC = {"format_version": 4, "n": 33, "rows": [[1]], "vertices": [0, 1], "row_of": [0, 0]}
 
 
 def _cli(*argv):
@@ -134,7 +134,7 @@ LIMIT_CASES = [
         lambda: from_json(N33_DOC),
         DocumentError,
         "n must be an integer in [1, 32]",
-        (export, "_vertex_table"),
+        (export, "_rotation"),
         id="from_json",
     ),
     pytest.param(
@@ -148,7 +148,7 @@ LIMIT_CASES = [
         _cli("verify", "n33.json"),
         2,
         "cannot load n33.json: n must be an integer in [1, 32]",
-        (export, "_vertex_table"),
+        (export, "_rotation"),
         id="cli-verify",
     ),
     pytest.param(

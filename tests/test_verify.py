@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 import verify_oracle as oracle
+from conftest import rotation_keys
 from minvenn import export, verify
 from minvenn.bases import partition_cycles
 from minvenn.builder import partition_preview_graph
@@ -311,11 +312,22 @@ def test_masks_above_n_are_named(dual8, first, witness):
     # vertex itself when it comes first, else the edge from 0 to it.
     g = with_vertex_above_n(dual8, first)
     assert verify_graph(g).checks == [CheckResult("rotation-consistent", False, witness)]
-    doc = to_json(dual8)
-    doc["rotation"] = {str(u): nbrs for u, nbrs in g.rotation.items()}
-    with pytest.raises(DocumentError) as caught:
+
+
+def test_masks_above_n_in_a_document(dual8):
+    # A document lists its vertices in increasing order and each neighbor
+    # by a direction in [1, n].  So the vertex 2^n comes last, and its
+    # edge to 0, direction n + 1, is a malformed row.
+    doc = {**to_json(dual8), **rotation_keys(with_vertex_above_n(dual8, first=False).rotation)}
+    assert doc["rows"][0] == [1, 3, 8, 9]
+    with pytest.raises(DocumentError, match=r"^row 0 must list at most 8 directions, each an integer in \[1, 8\]$"):
         from_json(doc)
-    assert str(caught.value) == f"document rotation is inconsistent: {witness}"
+    vertex = to_json(dual8)
+    vertex["vertices"].append(1 << 8)
+    vertex["row_of"].append(vertex["row_of"][0])
+    with pytest.raises(DocumentError) as caught:
+        from_json(vertex)
+    assert str(caught.value) == "document rotation is inconsistent: vertex 0x100 has bits above dimension 8"
 
 
 def test_masks_past_the_cap_fail_the_rotation_check():
