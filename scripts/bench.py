@@ -7,10 +7,10 @@ peak RSS (`os.wait4`).  A process inherits its parent's high-water RSS
 across fork and exec, so the command is never started from this script,
 whose own peak grows with what it has run.
 
-The result goes to BENCH_<label>.json: per n, the median wall time and peak
-RSS of the repeats of each command, every repeat's figures, and the
-document's size and SHA-256.  Every repeat of a build must write the same
-bytes.  The stdlib is all it needs.
+The result goes to BENCH_<label>.json at the repo root: per n, the median
+wall time and peak RSS of the repeats of each command, every repeat's
+figures, and the document's size and SHA-256.  Every repeat of a build must
+write the same bytes.  The stdlib is all it needs.
 
     python scripts/bench.py --label baseline --src /path/to/other/checkout/src
     python scripts/bench.py --n 8 12 16 18 20 --repeats 5
@@ -72,10 +72,9 @@ def main() -> int:
     parser.add_argument("--n", type=int, nargs="+", default=[8, 12, 16, 18],
                         help="sizes to run (default 8 12 16 18; 20 is opt-in)")
     parser.add_argument("--repeats", type=int, default=3, help="fresh-process runs per command")
-    parser.add_argument("--label", default="local", help="names the output BENCH_<label>.json")
+    parser.add_argument("--label", default="local", help="names the output, BENCH_<label>.json")
     parser.add_argument("--src", type=Path, default=ROOT / "src",
                         help="the minvenn source tree to run (default: this checkout's)")
-    parser.add_argument("--out", type=Path, help="output file (default: BENCH_<label>.json here)")
     args = parser.parse_args()
     if args.repeats < 1:
         parser.error("--repeats must be >= 1")
@@ -111,8 +110,7 @@ def main() -> int:
         "repeats": args.repeats,
         "rows": rows,
     }
-    out = args.out or ROOT / f"BENCH_{args.label}.json"
-    out.write_text(json.dumps(result, indent=2) + "\n")
+    (ROOT / f"BENCH_{args.label}.json").write_text(json.dumps(result, indent=2) + "\n")
     return 0
 
 

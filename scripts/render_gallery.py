@@ -7,7 +7,7 @@ import pathlib
 from minvenn.bases import partition_cycles
 from minvenn.builder import build_venn_dual, partition_preview_graph
 from minvenn.doubling import double
-from minvenn.export import render_dual_svg, render_primal_svg, write_json
+from minvenn.export import dump_json, render_dual_svg, render_primal_svg, to_json
 from minvenn.verify import verify_graph
 
 
@@ -20,14 +20,12 @@ def main() -> None:
 
     g8 = build_venn_dual(3)
     report = verify_graph(g8)
-    with (out / "venn8.json").open("w", encoding="utf-8") as fh:
-        write_json(g8, fh, report=report)
+    (out / "venn8.json").write_text(dump_json(to_json(g8, report)), encoding="utf-8")
     (out / "venn8-dual.svg").write_text(render_dual_svg(g8))
     (out / "venn8-primal.svg").write_text(render_primal_svg(g8, report=report))
 
     g9 = double(g8)
-    with (out / "venn9.json").open("w", encoding="utf-8") as fh:
-        write_json(g9, fh, report=verify_graph(g9))
+    (out / "venn9.json").write_text(dump_json(to_json(g9, verify_graph(g9))), encoding="utf-8")
 
     for k in (1, 2, 3):
         preview = partition_preview_graph(partition_cycles(k))

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .hypercube import DEFAULT_CAP, MAX_LEVEL, mask_of, shown, span
+from .hypercube import DEFAULT_CAP, MAX_DIMENSION, MAX_LEVEL, mask_of, shown, span
 
 
 @dataclass(frozen=True)
@@ -69,6 +69,8 @@ def ring_prefixes(n: int) -> tuple[int, ...]:
     Positions 0..n walk the flips 1..n from the base vertex; positions past n
     continue from the complement of the base vertex.
     """
+    if not 1 <= n <= MAX_DIMENSION:
+        raise ValueError(f"rings need 1 <= n <= {MAX_DIMENSION}, got {shown(n)}")
     full = (1 << n) - 1
     pref = tuple((1 << j) - 1 for j in range(n + 1))
     return pref + tuple(full ^ pref[t] for t in range(1, n))

@@ -11,7 +11,6 @@ import argparse
 import gc
 import os
 import sys
-from functools import partial
 from itertools import chain
 
 from .bases import partition_cycles
@@ -25,28 +24,23 @@ from .export import (
     render_dual_svg,
     render_primal_svg,
     to_dot,
-    to_json,  # unused here; perfbench/tracer.py wraps cli.to_json by name
-    write_json,
+    to_json,
 )
 from .hypercube import DEFAULT_CAP, MAX_CAP, MAX_DIMENSION
 from .runs import mu, product_path, run_partition
 from .verify import expected_crossings, lower_bound, monotone_reference, verify_graph
 
 
-def _write_out(write, out_path: str | None, parser) -> None:
-    """Call write(handle) on the --out file, or on stdout without --out."""
+def _emit(text: str, out_path: str | None, parser) -> None:
+    """Write text to the --out file, or to stdout without --out."""
     if out_path:
         try:
             with open(out_path, "w", encoding="utf-8") as fh:
-                write(fh)
+                fh.write(text)
         except OSError as exc:
             parser.error(f"cannot write --out: {exc}")
     else:
-        write(sys.stdout)
-
-
-def _emit(text: str, out_path: str | None, parser) -> None:
-    _write_out(lambda fh: fh.write(text), out_path, parser)
+        sys.stdout.write(text)
 
 
 def _check_out(path: str | None, parser) -> None:
@@ -68,19 +62,18 @@ def _cmd_build(args, parser) -> int:
         parser.error(str(exc))
     report = verify_graph(g)
     print(report.format_text(), file=sys.stderr)
-    if args.format == "json":
-        _write_out(partial(write_json, g, report=report), args.out, parser)
-    elif args.format == "dot":
-        _emit(to_dot(g), args.out, parser)
-    else:
-        try:
-            if args.format == "svg-dual":
-                text = render_dual_svg(g)
-            else:
-                text = render_primal_svg(g, report=report)
-        except RenderError as exc:
-            parser.error(str(exc))
-        _emit(text, args.out, parser)
+    try:
+        if args.format == "json":
+            text = dump_json(to_json(g, report))
+        elif args.format == "dot":
+            text = to_dot(g)
+        elif args.format == "svg-dual":
+            text = render_dual_svg(g)
+        else:
+            text = render_primal_svg(g, report=report)
+    except RenderError as exc:
+        parser.error(str(exc))
+    _emit(text, args.out, parser)
     return 0 if report.passed else 1
 
 

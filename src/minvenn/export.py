@@ -72,11 +72,6 @@ def dump_json(doc: dict) -> str:
     return json.dumps(doc, separators=(",", ":"), sort_keys=True) + "\n"
 
 
-def write_json(g: PlaneDualGraph, out, report=None) -> None:
-    """Write dump_json(to_json(g, report)) to the text handle out."""
-    out.write(dump_json(to_json(g, report)))
-
-
 def _unique_keys(pairs: list) -> dict:
     obj = {}
     for key, value in pairs:
@@ -191,8 +186,8 @@ def from_json(doc: dict) -> PlaneDualGraph:
     )
     try:
         faces = len(trace_faces(g))
-    except ValueError as exc:
-        problem = (rotation_problems(rotation, n) or [str(exc)])[0]
+    except ValueError:
+        problem = rotation_problems(rotation, n)[0]
         raise DocumentError(f"document rotation is inconsistent: {problem}") from None
     crossings = doc.get("crossings")
     _require(

@@ -19,7 +19,8 @@ from typing import Iterable, NamedTuple, Sequence
 DEFAULT_CAP = 16
 # The largest cap a caller may ask for; flip sequences stop here as well.
 MAX_CAP = 20
-# Masks live in a machine word; materialized graphs stay far below this.
+# Masks live in a machine word, so this also bounds every graph's n (checked
+# where a PlaneDualGraph is made); materialized graphs stay far below this.
 MAX_DIMENSION = 32
 # Ground sets [2^k] of the bases must fit the mask, so levels stop at k = 5.
 MAX_LEVEL = MAX_DIMENSION.bit_length() - 1

@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from operator import xor
 
-from .hypercube import MAX_DIMENSION, edge_direction
+from .hypercube import MAX_DIMENSION, edge_direction, shown
 
 
 class InconsistentRotation(ValueError):
@@ -51,6 +51,7 @@ class PlaneDualGraph:
     build with k levels, doubled m times.  ring_bases lists the base vertex
     of each concentric ring, outermost first, for concentric builds (ring
     vertex p is base ^ ring_prefixes(n)[p]); it is None for doubled graphs.
+    n lies in [1, MAX_DIMENSION]; a graph with any other n is refused when made.
     """
 
     n: int
@@ -60,6 +61,10 @@ class PlaneDualGraph:
     ring_bases: tuple[int, ...] | None = None
     _faces: tuple[Face, ...] | None = field(default=None, init=False, repr=False, compare=False)
     _outer_face: int | None = field(default=None, init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        if not 1 <= self.n <= MAX_DIMENSION:
+            raise ValueError(f"a graph needs 1 <= n <= {MAX_DIMENSION}, got {shown(self.n)}")
 
     def vertices(self) -> list[int]:
         return sorted(self.rotation)
@@ -96,8 +101,8 @@ def trace_faces(g: PlaneDualGraph) -> tuple[Face, ...]:
     rotation, n = g.rotation, g.n
     # With these two bounds the trace raises exactly when rotation_problems is
     # not empty; the degree bound also keeps the nbrs.index scans linear.
-    if rotation and (min(rotation) < 0 or max(rotation) >> min(n, MAX_DIMENSION)):
-        raise InconsistentRotation(f"vertex masks must lie in [0, 2^{min(n, MAX_DIMENSION)})")
+    if rotation and (min(rotation) < 0 or max(rotation) >> n):
+        raise InconsistentRotation(f"vertex masks must lie in [0, 2^{n})")
     if rotation and max(map(len, rotation.values())) > n:
         raise InconsistentRotation(f"a vertex lists more than {n} neighbors")
     # Bit s of done[a] marks the edge from a to rotation[a][s] as traced.  A

@@ -90,14 +90,16 @@ def test_build_svg_needs_concentric_layout(capsys):
     assert "layout" in err
 
 
-def test_build_out_file(tmp_path, capsys):
-    target = tmp_path / "venn8.json"
-    code, out, _ = run(capsys, ["build", "--n", "8", "--out", str(target)])
+@pytest.mark.parametrize("fmt", ["json", "dot", "svg-dual", "svg-primal"])
+def test_build_out_file(tmp_path, capsys, fmt):
+    target = tmp_path / "venn8.out"
+    code, out, _ = run(capsys, ["build", "--n", "8", "--format", fmt, "--out", str(target)])
     assert code == 0
     assert out == ""
-    assert json.loads(target.read_text())["crossings"] == 40
-    # The file takes the same streamed bytes as stdout.
-    assert run(capsys, ["build", "--n", "8"])[1].encode() == target.read_bytes()
+    if fmt == "json":
+        assert json.loads(target.read_text())["crossings"] == 40
+    # The file takes the same bytes as stdout.
+    assert run(capsys, ["build", "--n", "8", "--format", fmt])[1].encode() == target.read_bytes()
 
 
 def test_stats_rows(capsys):

@@ -80,12 +80,15 @@ def test_outer_edge_missing_from_the_rotation_raises(dual8):
 
 
 def test_trace_refuses_masks_past_the_dimension_cap():
-    # Masks live in a machine word; the trace refuses a vertex past it
-    # instead of tracing a graph no other stage would accept.
+    # Masks live in a machine word: a graph past it is refused where it is
+    # made, and at the cap the trace refuses a vertex past bit 32 instead of
+    # tracing a graph no other stage would accept.
     far = 1 << 32
-    g = PlaneDualGraph(33, {0: [1, far], 1: [0], far: [0]}, (0, 1))
-    with pytest.raises(InconsistentRotation, match="vertex masks"):
-        trace_faces(g)
+    rotation = {0: [1, far], 1: [0], far: [0]}
+    with pytest.raises(ValueError, match=r"a graph needs 1 <= n <= 32, got 33"):
+        PlaneDualGraph(33, rotation, (0, 1))
+    with pytest.raises(InconsistentRotation, match=r"vertex masks must lie in \[0, 2\^32\)"):
+        trace_faces(PlaneDualGraph(32, rotation, (0, 1)))
 
 
 def test_double_without_colorful_face():

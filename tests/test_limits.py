@@ -14,11 +14,12 @@ import tracemalloc
 import pytest
 
 from minvenn import builder, cli, doubling, export, runs, verify
-from minvenn.bases import partition_cycles
+from minvenn.bases import partition_cycles, ring_prefixes
 from minvenn.builder import BuildError, build_venn_dual, driving_path, partition_preview_graph
 from minvenn.cli import main
 from minvenn.doubling import build_venn
 from minvenn.export import DocumentError, from_json
+from minvenn.plane_graph import PlaneDualGraph
 from minvenn.runs import longrun_path, product_path
 from minvenn.verify import expected_crossings, lower_bound, monotone_reference
 
@@ -129,6 +130,29 @@ LIMIT_CASES = [
         PAST_LEVEL,
         None,
         id="partition_preview_graph",
+    ),
+    # n bounds every graph and ring layout, so no stage that takes a graph
+    # can form a mask past the word.
+    pytest.param(
+        lambda: PlaneDualGraph(BIG, {0: ()}, (0, 1)),
+        ValueError,
+        f"a graph needs 1 <= n <= 32, got {BIG}",
+        None,
+        id="PlaneDualGraph",
+    ),
+    pytest.param(
+        lambda: PlaneDualGraph(0, {0: ()}, (0, 1)),
+        ValueError,
+        "a graph needs 1 <= n <= 32, got 0",
+        None,
+        id="PlaneDualGraph-zero",
+    ),
+    pytest.param(
+        lambda: ring_prefixes(HUGE),
+        ValueError,
+        f"rings need 1 <= n <= 32, got {HUGE_SHOWN}",
+        None,
+        id="ring_prefixes",
     ),
     pytest.param(
         lambda: from_json(N33_DOC),

@@ -331,12 +331,12 @@ def test_masks_above_n_in_a_document(dual8):
 
 
 def test_masks_past_the_cap_fail_the_rotation_check():
-    # rotation_problems finds nothing wrong at n = 33, so the trace's own
-    # message is the witness.
+    # No graph has n past 32, and at n = 32 rotation_problems names the
+    # edge to the mask past the word.
     far = 1 << 32
-    g = PlaneDualGraph(33, {0: [1, far], 1: [0], far: [0]}, (0, 1))
+    g = PlaneDualGraph(32, {0: [1, far], 1: [0], far: [0]}, (0, 1))
     assert verify_graph(g).checks == [
-        CheckResult("rotation-consistent", False, "vertex masks must lie in [0, 2^32)")
+        CheckResult("rotation-consistent", False, "edge (0x100000000, 0x0) has direction above 32")
     ]
 
 
