@@ -289,14 +289,19 @@ def classify_face(face: Face, base_n: int) -> str | None:
 
 
 def check_face_catalog(g: PlaneDualGraph) -> dict[str, int]:
-    """Classify every traced face; raise if any face matches no template."""
+    """Classify every traced face; raise if any face matches no template.
+
+    Each distinct flip word is classified once, at its first face.
+    """
     base_n = (1 << g.construction[0]) if g.construction else g.n
+    names: dict[tuple[int, ...], str] = {}
     counts: dict[str, int] = {}
     for idx, f in enumerate(trace_faces(g)):
-        name = classify_face(f, base_n)
-        if name is None:
-            raise FaceCatalogMismatch(
-                f"face {idx} (length {len(f)}) with flips {f.flips} matches no template"
-            )
+        if (name := names.get(f.flips)) is None:
+            if (name := classify_face(f, base_n)) is None:
+                raise FaceCatalogMismatch(
+                    f"face {idx} (length {len(f)}) with flips {f.flips} matches no template"
+                )
+            names[f.flips] = name
         counts[name] = counts.get(name, 0) + 1
     return counts

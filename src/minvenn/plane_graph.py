@@ -8,8 +8,10 @@ one test of the rotation: it raises exactly when rotation_problems, which
 names the defect, finds one.  It bounds masks and degrees, walks the
 rotation lists one pass per face and stops at the first edge it has
 already traced, so a malformed rotation cannot make it loop; each entry is
-walked and tested as a hypercube edge exactly once.  Graphs are frozen; the
-trace keeps the face list and the outer face's index, nothing per edge.
+walked and tested as a hypercube edge exactly once, by comparing each
+face's steps with the bits of its flip word.  Faces with one flip word share
+one flips tuple.  Graphs are frozen; the trace keeps the face list and the
+outer face's index, nothing per edge.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ class InconsistentRotation(ValueError):
     """The rotation lists do not describe a well-formed embedded graph."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Face:
     """A closed face walk; edge t joins vertices[t] to vertices[t+1 mod length]."""
 
@@ -110,20 +112,26 @@ def trace_faces(g: PlaneDualGraph) -> tuple[Face, ...]:
     # over the second copy cannot close its face.
     faces: list[Face] = []
     done = dict.fromkeys(rotation, 0)
+    # Each distinct flip word, with the bit of each of its letters (-1 for a
+    # zero step), so the faces share one flips tuple per word.
+    words: dict[tuple[int, ...], tuple[tuple[int, ...], list[int]]] = {}
     ou, ov = g.outer_edge
     nbrs = rotation.get(ou, ())
     outer_bit = 1 << nbrs.index(ov) if ov in nbrs else 0
     outer = None
     for u in sorted(rotation):
-        for i in range(len(rotation[u])):
+        row = rotation[u]
+        if done[u] == (1 << len(row)) - 1:
+            continue
+        for i in range(len(row)):
             if done[u] >> i & 1:
                 continue
-            a, s, walk, stuck = u, i, [], False
+            a, s, nbrs, walk, stuck = u, i, row, [], False
             try:
                 while not (mask := done[a]) >> s & 1:
                     done[a] = mask | 1 << s
                     walk.append(a)
-                    b = rotation[a][s]
+                    b = nbrs[s]
                     nbrs = rotation[b]
                     s = nbrs.index(a) + 1
                     if s == len(nbrs):
@@ -132,12 +140,16 @@ def trace_faces(g: PlaneDualGraph) -> tuple[Face, ...]:
             except (KeyError, ValueError):
                 stuck = True
             # Step t runs from walk[t] to ends[t]; a stuck walk ends on (a, b).
-            # Each step's direction is read off here, once per face, in the
-            # same pass that tests every step as a hypercube edge.
+            # Each step's direction is read off here, once per face, and the
+            # steps are hypercube edges exactly when each diff is its letter's bit.
             ends = walk[1:]
             ends.append(b if stuck else a)
             diffs = list(map(xor, walk, ends))
-            if stuck or set(map(int.bit_count, diffs)) != {1}:
+            word = tuple(map(int.bit_length, diffs))
+            if (entry := words.get(word)) is None:
+                entry = words[word] = (word, [1 << d - 1 if d else -1 for d in word])
+            flips, bits = entry
+            if stuck or bits != diffs:
                 list(map(edge_direction, walk, ends))  # raises at the first step off Q_n
             if stuck:
                 raise InconsistentRotation(
@@ -145,12 +157,12 @@ def trace_faces(g: PlaneDualGraph) -> tuple[Face, ...]:
                 )
             if (a, s) != (u, i):
                 raise InconsistentRotation(
-                    f"face walk from ({u:#x}, {rotation[u][i]:#x}) runs into the traced "
+                    f"face walk from ({u:#x}, {row[i]:#x}) runs into the traced "
                     f"edge ({a:#x}, {rotation[a][s]:#x})"
                 )
             if outer is None and done.get(ou, 0) & outer_bit:
                 outer = len(faces)
-            faces.append(Face(tuple(walk), tuple(map(int.bit_length, diffs))))
+            faces.append(Face(tuple(walk), flips))
     object.__setattr__(g, "_faces", tuple(faces))
     object.__setattr__(g, "_outer_face", outer)
     return g._faces

@@ -206,12 +206,18 @@ def check_edge_conservation(g: PlaneDualGraph) -> CheckResult:
 
 
 def check_faces(g: PlaneDualGraph) -> CheckResult:
-    """Every face has even length 2L with exactly two edges of L directions."""
+    """Every face has even length 2L with exactly two edges of L directions.
+
+    Each distinct flip word is judged once, at its first face.
+    """
+    passed: set[tuple[int, ...]] = set()
     for idx, f in enumerate(trace_faces(g)):
-        if not face_condition_ok(f.flips, g.n):
-            return CheckResult(
-                "faces-direction-pairs", False, f"face {idx} with flips {f.flips}"
-            )
+        if f.flips not in passed:
+            if not face_condition_ok(f.flips, g.n):
+                return CheckResult(
+                    "faces-direction-pairs", False, f"face {idx} with flips {f.flips}"
+                )
+            passed.add(f.flips)
     return CheckResult("faces-direction-pairs", True)
 
 

@@ -1,4 +1,5 @@
 import hashlib
+import re
 import tracemalloc
 from collections import Counter
 
@@ -11,6 +12,7 @@ from minvenn import builder
 from minvenn.bases import basis_C, partition_cycles
 from minvenn.builder import (
     BuildError,
+    FaceCatalogMismatch,
     build_venn_dual,
     canonical_cycle,
     check_face_catalog,
@@ -55,6 +57,13 @@ def test_trace_keeps_nothing_per_edge(dual16):
         tracemalloc.stop()
     assert len(faces) == 5118 and len(faces[outer]) == 32
     assert retained < 6 << 20
+
+
+def test_faces_share_one_flips_tuple_per_word(dual8, dual16):
+    for g, words in ((dual8, 35), (dual16, 466)):
+        faces = trace_faces(g)
+        assert len({id(f.flips) for f in faces}) == len({f.flips for f in faces}) == words
+    assert not hasattr(faces[0], "__dict__")
 
 
 def _variant(monkeypatch, k, tie_break="earlier", apply_removals=True):
@@ -137,6 +146,32 @@ def test_face_catalog_k3(dual8):
         "pair-short": 2,
         "pair-long": 2,
     }
+
+
+def test_catalog_counts_match_the_per_face_classification(dual16, doubling_chain, monkeypatch):
+    classify = builder.classify_face
+    judged = []
+    monkeypatch.setattr(
+        builder, "classify_face", lambda f, base_n: judged.append(f.flips) or classify(f, base_n)
+    )
+    for g in (*doubling_chain.values(), dual16):
+        faces = trace_faces(g)
+        base_n = 1 << g.construction[0]
+        judged.clear()
+        assert check_face_catalog(g) == Counter(classify(f, base_n) for f in faces)
+        assert len(judged) == len(set(judged)) == len({f.flips for f in faces})
+
+
+def test_catalog_mismatch_names_the_first_face_of_a_word(dual8, monkeypatch):
+    faces = trace_faces(dual8)
+    word = faces[6].flips
+    assert [i for i, f in enumerate(faces) if f.flips == word] == [6, 30]
+    catalog = dict(builder.face_catalog(8))
+    del catalog[canonical_cycle(word)]
+    monkeypatch.setattr(builder, "face_catalog", lambda n: catalog)
+    message = f"face 6 (length 16) with flips {word} matches no template"
+    with pytest.raises(FaceCatalogMismatch, match=re.escape(message)):
+        check_face_catalog(dual8)
 
 
 def test_every_short_face_matches_template(dual16):

@@ -1,7 +1,8 @@
-"""The verifier's connectivity and curve checks against the union-find oracle.
+"""The verifier's connectivity, face-pairs and curve checks against the oracle.
 
 `verify_oracle` keeps the checks the verifier used before they were rebuilt
-on one component walk and one face sweep.  Both must give equal results,
+on one component walk and one face sweep, and before the face-pairs check
+judged each distinct flip word once.  Both must give equal results,
 witnesses included, on every build n = 8..16 and on fixed mutations of the
 n = 8 and n = 9 graphs.  The mutations also pin which checks catch each kind
 of defect.
@@ -47,11 +48,12 @@ SOUNDNESS_MAP = {
 
 
 def oracle_report(g: PlaneDualGraph) -> dict:
-    """verify_graph's report with the oracle's connectivity and curve checks."""
+    """verify_graph's report with the oracle's connectivity, face-pairs and curve checks."""
     with pytest.MonkeyPatch.context() as mp:
         # verify_graph hands check_curves the sphere verdict of three other
         # checks; the oracle decides the curves for itself.
         mp.setattr(verify, "check_connected", lambda g: oracle.check_connected(g))
+        mp.setattr(verify, "check_faces", oracle.check_faces)
         mp.setattr(verify, "check_curves", lambda g, _sphere: oracle.check_curves(g))
         return verify.verify_graph(g).to_dict()
 

@@ -1,14 +1,16 @@
-"""The union-find curve checks the verifier used before its single-walk rewrite.
+"""The checks the verifier used before it was rebuilt to do less work.
 
 Kept unchanged as the reference that `tests/test_verify_differential.py`
-compares `minvenn.verify` against: 2n union-finds, one per side of every
-curve, and one full face sweep per direction.
+compares `minvenn.verify` against: the union-find curve checks (2n
+union-finds, one per side of every curve, and one full face sweep per
+direction) and the face-pairs check that judges every face, not every
+distinct flip word.
 """
 
 from __future__ import annotations
 
 from minvenn.plane_graph import PlaneDualGraph, trace_faces
-from minvenn.verify import CheckResult
+from minvenn.verify import CheckResult, face_condition_ok
 
 
 class UnionFind:
@@ -112,3 +114,13 @@ def check_curves(g: PlaneDualGraph) -> CheckResult:
             return CheckResult("curves-simple", False, problem)
     return CheckResult("curves-simple", True)
 
+
+
+def check_faces(g: PlaneDualGraph) -> CheckResult:
+    """Every face has even length 2L with exactly two edges of L directions."""
+    for idx, f in enumerate(trace_faces(g)):
+        if not face_condition_ok(f.flips, g.n):
+            return CheckResult(
+                "faces-direction-pairs", False, f"face {idx} with flips {f.flips}"
+            )
+    return CheckResult("faces-direction-pairs", True)
