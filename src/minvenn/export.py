@@ -1,16 +1,15 @@
 """Serialization (JSON, DOT) and schematic SVG rendering.
 
 JSON is the canonical interchange format and round-trips losslessly; DOT and
-the two SVG views are one-way.  A JSON document (format 4) stores only what
-cannot be derived: vertices, edges and faces are re-traced from the rotation
-on load, and the concentric layout is kept as the base vertex of each ring.
-The rotation is written by direction: rows lists each distinct row of
-neighbor directions once, vertices lists the vertex masks in increasing
-order, and row_of gives each vertex's row index.  A build has few distinct
-rows (130 at n = 16), so the document takes 0.58 MB at n = 16, 2.6 MB at
-n = 18 and 10.8 MB at n = 20.  vertices may leave a vertex out, so a
-document can reach the verifier's spanning check; a neighbor that is not
-listed reads as v ^ 2^(d-1) all the same, and the trace refuses it.
+the two SVG views are one-way.  A JSON document (format 5) stores only what
+cannot be derived: edges and faces are re-traced from the rotation on load,
+and the concentric layout is kept as the base vertex of each ring.  Every
+graph a document holds spans Q_n, as an n-Venn diagram's dual must, so its
+vertices are range(2^n) and are not written.  The rotation is written by
+direction: rows lists each distinct row of neighbor directions once, and
+row_of[v] is the row index of vertex v.  A build has few distinct rows (130
+at n = 16), so the document takes 0.20 MB at n = 16, 0.89 MB at n = 18 and
+3.6 MB at n = 20.
 
 The dual view draws the concentric rings of a power-of-two build, placing
 each vertex by its ring's base vertex (_layout_geometry); the primal
@@ -21,9 +20,8 @@ of its edges, topologically faithful but geometrically approximate.
 from __future__ import annotations
 
 import json
-from itertools import chain, islice
+from itertools import chain
 from math import atan2, cos, hypot, pi, sin
-from operator import lt
 
 from .bases import ring_prefixes
 from .hypercube import MAX_DIMENSION, MAX_LEVEL, elements_of
@@ -31,7 +29,7 @@ from .plane_graph import PlaneDualGraph, rotation_problems, trace_faces
 from .verify import face_cycle, face_edges_by_direction, verify_graph
 
 
-FORMAT_VERSION = 4
+FORMAT_VERSION = 5
 
 
 class RenderError(ValueError):
@@ -39,11 +37,11 @@ class RenderError(ValueError):
 
 
 class DocumentError(ValueError):
-    """A JSON document is malformed or disagrees with its own rotation system."""
+    """A JSON document is malformed, or a graph that does not span Q_n is written as one."""
 
 
 def to_json(g: PlaneDualGraph, report=None) -> dict:
-    """Format 4 document for the graph, optionally with its verification report."""
+    """Format 5 document for a graph that spans Q_n, optionally with its verification report."""
     doc = {
         "format_version": FORMAT_VERSION,
         "n": g.n,
@@ -56,14 +54,16 @@ def to_json(g: PlaneDualGraph, report=None) -> dict:
     }
     if report is not None:
         doc["report"] = report.to_dict()
-    # The trace has made every entry a hypercube edge, so a row's bits
-    # u ^ v name its directions.  rows maps each distinct row to its index.
+    # The trace has bounded every mask to [0, 2^n), so 2^n vertices are all
+    # of Q_n, and made every entry a hypercube edge, so a row's bits u ^ v
+    # name its directions.  rows maps each distinct row to its index.
+    size, rotation = 1 << g.n, g.rotation
+    if len(rotation) != size:
+        raise DocumentError(f"a document needs all 2^{g.n} vertices; the graph has {len(rotation)}")
     rows, row_of = {}, []
-    vertices = sorted(g.rotation)
-    for v in vertices:
-        row_of.append(rows.setdefault(tuple(map(v.__xor__, g.rotation[v])), len(rows)))
+    for v in range(size):
+        row_of.append(rows.setdefault(tuple(map(v.__xor__, rotation[v])), len(rows)))
     doc["rows"] = [list(map(int.bit_length, row)) for row in rows]
-    doc["vertices"] = vertices
     doc["row_of"] = row_of
     return doc
 
@@ -100,11 +100,12 @@ def _int_lists(values) -> bool:
 
 
 def _rotation(doc: dict, n: int) -> dict:
-    """The {vertex: (neighbor, ...)} table of rows, vertices and row_of, all checked first.
+    """The {vertex: (neighbor, ...)} table of rows and row_of, both checked first.
 
-    A row may list at most n directions, so the table is at most n times
-    the size of vertices.  Each neighbor that is a vertex is its key
-    object, so the verifier's lookups find it by identity.
+    row_of[v] is the row of vertex v, for each v in range(2^n).  A row may
+    list at most n directions, so the table is at most n times the size of
+    row_of, and each neighbor v ^ 2^(d-1) is a vertex: its key object, so
+    the verifier's lookups find it by identity.
     """
     rows = doc.get("rows")
     _require(type(rows) is list, "rows must be a list of direction lists")
@@ -113,33 +114,21 @@ def _rotation(doc: dict, n: int) -> dict:
             _int_lists([row]) and len(row) <= n and all(1 <= d <= n for d in row),
             f"row {i} must list at most {n} directions, each an integer in [1, {n}]",
         )
-    vertices = doc.get("vertices")
-    _require(
-        _int_lists([vertices]) and all(map(lt, vertices, islice(vertices, 1, None))),
-        "vertices must be a strictly increasing list of integers",
-    )
     row_of = doc.get("row_of")
     _require(
         _int_lists([row_of])
-        and len(row_of) == len(vertices)
-        and (not row_of or 0 <= min(row_of) and max(row_of) < len(rows)),
-        f"row_of must give each vertex a row index in [0, {len(rows)})",
+        and len(row_of) == 1 << n
+        and 0 <= min(row_of) <= max(row_of) < len(rows),
+        f"row_of must give each of the 2^{n} vertices a row index in [0, {len(rows)})",
     )
     bits = [[1 << (d - 1) for d in row] for row in rows]
-    canon = dict(zip(vertices, vertices))
-    key = canon.__getitem__
-    rotation = {}
-    for v, r in zip(vertices, row_of):
-        try:
-            rotation[v] = tuple(map(key, map(v.__xor__, bits[r])))
-        except KeyError:  # a neighbor that is no vertex stays a plain int
-            nbrs = list(map(v.__xor__, bits[r]))
-            rotation[v] = tuple(map(canon.get, nbrs, nbrs))
-    return rotation
+    keys = list(range(1 << n))
+    key = keys.__getitem__
+    return {v: tuple(map(key, map(v.__xor__, bits[r]))) for v, r in zip(keys, row_of)}
 
 
 def from_json(doc: dict) -> PlaneDualGraph:
-    """Rebuild a graph from a format 4 document, validating it on the way.
+    """Rebuild a graph from a format 5 document, validating it on the way.
 
     Raises DocumentError on any malformed document, including one of another
     format version.  n and the construction level k are bounded before

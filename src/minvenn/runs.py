@@ -113,8 +113,8 @@ def brgc(n: int) -> tuple[int, ...]:
     Entry j is one plus the 2-adic valuation of j, so for n >= 4 the sequence
     alternates copies of (1, 2, 1, 3, 1, 2, 1) with single flips >= 4.
     """
-    if n < 1:
-        raise ValueError(f"need n >= 1, got {shown(n)}")
+    if not 1 <= n <= MAX_CAP:
+        raise ValueError(f"need 1 <= n <= {MAX_CAP}, got {shown(n)}")
     return tuple((j & -j).bit_length() for j in range(1, 1 << n))
 
 

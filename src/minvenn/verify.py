@@ -150,8 +150,8 @@ def _component_roots(rotation: dict[int, tuple[int, ...]], skip_bit: int) -> lis
     """First vertex reached in each component, leaving out edges u, v with u ^ v == skip_bit.
 
     skip_bit 0 keeps every edge.  One iterative walk over a consistent
-    rotation; the set of seen vertices grows with the rotation, not with
-    2^n, so a sparse document with a large n stays small.
+    rotation; the seen set grows with the rotation, not with 2^n, so a
+    sparse in-memory graph (no document is sparse) with a large n stays small.
     """
     seen: set[int] = set()
     roots = []

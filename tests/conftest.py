@@ -6,7 +6,7 @@ import pytest
 from minvenn.bases import ring_prefixes
 from minvenn.builder import build_venn_dual
 from minvenn.doubling import double
-from minvenn.export import from_json
+from minvenn.export import dump_json, from_json, to_json
 from minvenn.plane_graph import trace_faces
 
 
@@ -30,25 +30,27 @@ def doubling_chain(dual8):
     return graphs
 
 
-# SHA-256 of the n = 8 document as the format 1, 2 and 3 writers laid it out.
+# SHA-256 of the n = 8 document as the format 1, 2, 3 and 4 writers laid it out.
 FORMAT_1_DOC8_SHA256 = "6f76d22a33fe451a943ff12c585512e2a9cfd3e57ad045edc1ae6097a63cc700"
 FORMAT_2_DOC8_SHA256 = "5eac4ec3f3d1c6f527dc35eeaf6f5ed9108a1c34df86b601db49e4a3d0944e56"
 FORMAT_3_DOC8_SHA256 = "fc6d87ee41ba82da54dc46dc57631d204835850e36bdc6e6936ae1e5d4b97a38"
+FORMAT_4_DOC8_SHA256 = "f42c45b567d1607f9d3025fde66462a879e6497d8c6cb2a6869b4844f0d0b50b"
 
 
 def rotation_keys(rotation):
-    """The rows, vertices and row_of of a format 4 document for a rotation of hypercube edges."""
-    rows, vertices = {}, sorted(rotation)
+    """The rows and row_of of a format 5 document, row_of in vertex order, for hypercube edges."""
+    rows = {}
     row_of = [
-        rows.setdefault(tuple((u ^ v).bit_length() for u in rotation[v]), len(rows)) for v in vertices
+        rows.setdefault(tuple((u ^ v).bit_length() for u in rotation[v]), len(rows))
+        for v in sorted(rotation)
     ]
-    return {"rows": list(map(list, rows)), "vertices": vertices, "row_of": row_of}
+    return {"rows": list(map(list, rows)), "row_of": row_of}
 
 
 def _format_3_rotation(doc):
-    """Replace rows, vertices and row_of by the {str(vertex): neighbors} rotation of formats 1-3."""
+    """Replace rows and row_of by the {str(vertex): neighbors} rotation of formats 1-3."""
     g = from_json(doc)
-    del doc["rows"], doc["vertices"], doc["row_of"]
+    del doc["rows"], doc["row_of"]
     doc["rotation"] = {str(v): list(nbrs) for v, nbrs in g.rotation.items()}
     return g
 
@@ -96,6 +98,12 @@ def _format_version_3(doc):
     assert hashlib.sha256(text.encode()).hexdigest() == FORMAT_3_DOC8_SHA256
 
 
+def _format_version_4(doc):
+    """Rewrite the n = 8 document into the format 4 layout, which also listed the vertices."""
+    doc.update(format_version=4, vertices=list(range(1 << doc["n"])))
+    assert hashlib.sha256(dump_json(doc).encode()).hexdigest() == FORMAT_4_DOC8_SHA256
+
+
 def _row_with_1(doc):
     """The first row that lists direction 1."""
     return next(row for row in doc["rows"] if 1 in row)
@@ -108,11 +116,8 @@ MALFORMED_DOCS = {
     "rotation-list": lambda doc: doc.update(rows=dict(enumerate(doc["rows"]))),
     # True stands for direction 1, and would pass every later check
     "rotation-bool": lambda doc: (row := _row_with_1(doc)).__setitem__(row.index(1), True),
-    # vertex 1 listed a second time, with its own row
-    "rotation-duplicate-key": lambda doc: (
-        doc["vertices"].insert(1, doc["vertices"][1]),
-        doc["row_of"].insert(1, doc["row_of"][1]),
-    ),
+    # vertex 1's row listed a second time, so row_of names 2^n + 1 vertices
+    "rotation-duplicate-key": lambda doc: doc["row_of"].insert(1, doc["row_of"][1]),
     "direction-0": lambda doc: doc["rows"][0].__setitem__(0, 0),
     "direction-n-plus-1": lambda doc: doc["rows"][0].__setitem__(0, 9),
     "row-of-outside-rows": lambda doc: doc["row_of"].__setitem__(0, len(doc["rows"])),
@@ -123,6 +128,7 @@ MALFORMED_DOCS = {
     "format-version-1": _format_version_1,
     "format-version-2": _format_version_2,
     "format-version-3": _format_version_3,
+    "format-version-4": _format_version_4,
     "ring-bases-not-list": lambda doc: doc.update(ring_bases=doc["ring_bases"][0]),
     # 2^20 is no vertex of Q_8
     "ring-bases-not-vertices": lambda doc: doc.update(ring_bases=[1 << 20]),
@@ -135,8 +141,6 @@ MALFORMED_DOCS = {
 
 @pytest.fixture(scope="session")
 def doc8_text(dual8):
-    from minvenn.export import dump_json, to_json
-
     return dump_json(to_json(dual8))
 
 

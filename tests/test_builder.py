@@ -207,17 +207,18 @@ def test_build_guards():
 
 # SHA-256 of the JSON document of every base build variant (see _variant):
 # the concentric build is deterministic, so a digest changes only with the
-# build or the format.  Format 4 re-pinned all eight; each variant's rotation,
-# written in the format 3 layout, still gave the format 3 digest.
+# build or the format.  Format 5 re-pinned all eight; each variant's document,
+# rewritten into the format 4 layout by adding back its vertices, still gave
+# the format 4 digest.
 BASE_DIGESTS = {
-    (3, "earlier", True): "f42c45b567d1607f9d3025fde66462a879e6497d8c6cb2a6869b4844f0d0b50b",
-    (3, "earlier", False): "cf7e0b716fac9d20b799761411e2549bfac0b75df3841f765674ac537180360d",
-    (3, "later", True): "122b508dd3f263c90dcfa351b18dbb1a09b3320fd5ba93027b3a322f53ec7fa6",
-    (3, "later", False): "a6884d84ec9422c401d3a094f01385c41f46af45d8172aac2c7ea426b7cc1b9e",
-    (4, "earlier", True): "54c494a50ff8637e35db06a8c5b52ee68fa80f3e1c5f0ef9949b70f07da57c2b",
-    (4, "earlier", False): "854c92ac9304fb2eabbfb96a591b87656286347408c678b0c6fbd4be3dbca186",
-    (4, "later", True): "80241a12a0fd43fb559ddd9106b9d069880b83776a5593890d84470f6e288a3b",
-    (4, "later", False): "de4deeee5ee45a096175549407f9314b3b9191f1468552dec246dff502e9482a",
+    (3, "earlier", True): "c1483b7910251cb507df2b00b1ef447f17f6a6fa02e8cd200a53f934412ad9ad",
+    (3, "earlier", False): "81281f68d4f149ee1c5f4ef258b5cfb1c930d4c160c71aae31c96cd40dfa233b",
+    (3, "later", True): "855e8565ae279657c1a3b09a1a551055a897c2df882ef9b772e21369c9513ede",
+    (3, "later", False): "a7a2d36c6993262de247ef2ca739fb440cca45304e74411dfde786b34e8d9b0f",
+    (4, "earlier", True): "bb0fdb21c809b191840a2bc20c830ffac4512fafe2efe98ce02646e70c6b414f",
+    (4, "earlier", False): "47c3535daeeac41661e83aee40f3acac4eba17960545a9c647ab841ed3b730c1",
+    (4, "later", True): "d4f8e08a5d6bb8554b0c4b3520cc8e5fa33bb8892ed7b97d8c862733ba9f0120",
+    (4, "later", False): "3737cbd341bc6b1d01afc546abb2cafddc5ae8809f32569fa1e16c44a7bb9f3a",
 }
 
 

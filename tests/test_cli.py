@@ -298,13 +298,13 @@ def test_verify_malformed_document_exits_2(tmp_path, malformed_doc):
 
 
 def test_verify_rejects_repeated_vertex_key(tmp_path, doc8_text):
-    # A plain JSON parser keeps the later, genuine list of vertices, so
-    # without the check this document would verify PASS.
-    text = doc8_text.replace("{", '{"vertices":[0,1,3,5,77],', 1)
+    # A plain JSON parser keeps the later, genuine row_of, so without the
+    # check this document would verify PASS.
+    text = doc8_text.replace("{", '{"row_of":[0,1,3,5,77],', 1)
     assert json.loads(text) == json.loads(doc8_text)
     target = tmp_path / "repeated.json"
     target.write_text(text)
-    assert "key 'vertices' appears twice in one object" in assert_exits_2("verify", target)
+    assert "key 'row_of' appears twice in one object" in assert_exits_2("verify", target)
 
 
 def test_verify_deeply_nested_json_exits_2(tmp_path):
@@ -377,9 +377,9 @@ def test_verify_out_in_a_missing_directory_exits_2(tmp_path, capsys, doc8_text):
 # DOC8 stands for the path of the n = 8 document.
 DOC8 = "<venn8.json>"
 PINNED_OUTPUTS = [
-    (["build", "--n", "8"], "c2827af6694d05d95f612d48b0b528914cbf53b15db8cccf5a2af8d48a31932e"),
+    (["build", "--n", "8"], "5d6a89fa956803a1aa2ef0169f8be282435a45258997caba955fc86137e9ac25"),
     # The one pinned document whose rows are each shared by many vertices.
-    (["build", "--n", "16"], "b7614e79b9f34a78bf34d72f85e463fa7222c26d51f4ff153716077bfb480b9d"),
+    (["build", "--n", "16"], "18f698a55e718c8994a33ad9507c4461f4d06ebc95623ab1aacce9853a34ab5c"),
     (
         ["build", "--n", "8", "--format", "dot"],
         "bd0de48d9038259cd1c1d0ebe759e8627be5dc4103e5dcad1bc198abe43b99f8",

@@ -30,7 +30,7 @@ from minvenn.export import (
     to_json,
 )
 from minvenn.plane_graph import InconsistentRotation, PlaneDualGraph, rotation_problems
-from minvenn.verify import VerificationReport, verify_graph
+from minvenn.verify import CheckResult, VerificationReport, verify_graph
 
 from conftest import rotation_keys
 
@@ -63,8 +63,9 @@ def test_round_trip_base_build(dual8):
 def test_round_trip_n16_document_is_small(dual16):
     g = dual16
     text = dump_json(to_json(g))
-    # 2^d ring bases, not a [ring, position] per vertex, and 130 distinct rows
-    assert len(text) <= 600_000
+    # 2^d ring bases, not a [ring, position] per vertex, 130 distinct rows
+    # and no list of the vertices, which are all of Q_16
+    assert len(text) <= 250_000
     assert from_json(load_json(text)) == g
 
 
@@ -83,43 +84,43 @@ def test_round_trip_doubled(doubling_chain):
         assert from_json(to_json(g)) == g
 
 
-def test_round_trip_non_spanning_ring(tmp_path, capsys):
-    # 8 of the 16 vertices of Q_4.  Only a document that lists its vertices
-    # can leave the other 8 out, and so reach the spanning check.
+def test_round_trip_non_spanning_ring():
+    # 8 of the 16 vertices of Q_4: the verifier's spanning check names a
+    # missing vertex, and no document can hold the graph, since a document's
+    # vertices are all of Q_n.
     g = _single_ring_graph(4)
-    doc = to_json(g)
-    assert from_json(doc) == g
-    target = tmp_path / "ring.json"
-    target.write_text(dump_json(doc))
-    assert main(["verify", str(target)]) == 1
-    assert "FAIL  spanning [vertex 0x2 missing]" in capsys.readouterr().err
+    assert CheckResult("spanning", False, "vertex 0x2 missing") in verify_graph(g).checks
+    with pytest.raises(DocumentError, match=r"^a document needs all 2\^4 vertices; the graph has 8$"):
+        to_json(g)
 
 
-def test_sparse_document_with_large_n_stays_small(tmp_path, capsys):
-    # Four vertices of Q_32, two of them near the top of the range: the
-    # verifier must use memory in proportion to the document, not to 2^32.
+def test_sparse_document_with_large_n_stays_small():
+    # Four vertices of Q_32, two of them near the top of the range.  Neither
+    # the writer nor the reader may use memory in proportion to 2^32 to
+    # refuse them.
     high = 0x7FFFFFFF
     top = high | 1 << 31
+    rotation = {0: (1,), 1: (0,), high: (top,), top: (high,)}
+    g = PlaneDualGraph(n=32, rotation=rotation, outer_edge=(0, 1))
     doc = {
-        "format_version": 4,
+        "format_version": 5,
         "n": 32,
         "construction": None,
-        **rotation_keys({0: [1], 1: [0], high: [top], top: [high]}),
+        **rotation_keys(rotation),
         "outer_edge": [0, 1],
         "crossings": 2,
         "ring_bases": None,
     }
-    assert doc["rows"] == [[1], [32]]
-    target = tmp_path / "sparse32.json"
-    target.write_text(dump_json(doc))
+    assert doc["rows"] == [[1], [32]] and doc["row_of"] == [0, 0, 1, 1]
     tracemalloc.start()
     try:
-        code = main(["verify", str(target)])
+        with pytest.raises(DocumentError, match=r"^a document needs all 2\^32 vertices; the graph has 4$"):
+            to_json(g)
+        with pytest.raises(DocumentError, match=r"^row_of must give each of the 2\^32 vertices a row"):
+            from_json(doc)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert code == 1
-    assert "FAIL  spanning [vertex 0x2 missing]" in capsys.readouterr().err
     assert peak < 1 << 20
 
 
@@ -148,7 +149,6 @@ def test_from_json_refuses_a_star_in_linear_time(doc8_text):
     doc.update(
         n=32,
         rows=[[1 + i % 32 for i in range(40_000)]],
-        vertices=list(range(40_000)),
         row_of=[0] * 40_000,
         construction=None,
         ring_bases=None,
@@ -161,10 +161,9 @@ def test_from_json_refuses_a_star_in_linear_time(doc8_text):
 
 def _one_vertex_edit(doc, v, edit):
     """doc with vertex v's row, in a row of its own, missing its first direction or repeating it."""
-    i = doc["vertices"].index(v)
-    row = doc["rows"][doc["row_of"][i]]
+    row = doc["rows"][doc["row_of"][v]]
     doc["rows"].append(row[1:] if edit == "one-sided-edge" else row + row[:1])
-    doc["row_of"][i] = len(doc["rows"]) - 1
+    doc["row_of"][v] = len(doc["rows"]) - 1
     return doc
 
 
@@ -288,13 +287,17 @@ def test_to_json_of_edited_rows(built_8_to_12, data):
         report = verify_graph(g)
     if not data.draw(st.booleans(), label="with report"):
         report = None
+    spans = len(g.rotation) == 1 << g.n
     try:
         doc = to_json(g, report=report)
     except InconsistentRotation:
         # The trace refuses the rotation before any document is made.
         assert rotation_problems(g.rotation, g.n)
+    except DocumentError:
+        # A consistent rotation that lost a vertex has no document.
+        assert not spans and not rotation_problems(g.rotation, g.n)
     else:
-        assert not rotation_problems(g.rotation, g.n)
+        assert spans and not rotation_problems(g.rotation, g.n)
         assert doc.get("report") == (None if report is None else report.to_dict())
         assert load_json(dump_json(doc)) == doc
 

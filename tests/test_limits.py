@@ -20,7 +20,7 @@ from minvenn.cli import main
 from minvenn.doubling import build_venn
 from minvenn.export import DocumentError, from_json
 from minvenn.plane_graph import PlaneDualGraph
-from minvenn.runs import longrun_path, product_path
+from minvenn.runs import brgc, longrun_path, product_path
 from minvenn.verify import expected_crossings, lower_bound, monotone_reference
 
 BIG = 10**8
@@ -28,7 +28,7 @@ PAST_LEVEL = f"ground set 2^{BIG} exceeds the 32-bit mask model"
 # 10^5000 takes 16610 bits.
 HUGE = 10**5000
 HUGE_SHOWN = "<int of 16610 bits>"
-N33_DOC = {"format_version": 4, "n": 33, "rows": [[1]], "vertices": [0, 1], "row_of": [0, 0]}
+N33_DOC = {"format_version": 5, "n": 33, "rows": [[1]], "row_of": [0, 0]}
 
 
 def _cli(*argv):
@@ -79,6 +79,11 @@ LIMIT_CASES = [
     ),
     pytest.param(lambda: partition_cycles(BIG), ValueError, PAST_LEVEL, None, id="partition_cycles"),
     pytest.param(lambda: longrun_path(BIG), ValueError, PAST_LEVEL, None, id="longrun_path"),
+    # A flip sequence has 2^n - 1 entries.
+    pytest.param(lambda: brgc(BIG), ValueError, f"need 1 <= n <= 20, got {BIG}", None, id="brgc"),
+    pytest.param(
+        lambda: brgc(HUGE), ValueError, f"need 1 <= n <= 20, got {HUGE_SHOWN}", None, id="brgc-huge"
+    ),
     pytest.param(lambda: product_path(BIG, 0), ValueError, PAST_LEVEL, None, id="product_path-k"),
     pytest.param(
         lambda: product_path(4, 7),

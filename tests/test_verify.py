@@ -315,19 +315,13 @@ def test_masks_above_n_are_named(dual8, first, witness):
 
 
 def test_masks_above_n_in_a_document(dual8):
-    # A document lists its vertices in increasing order and each neighbor
-    # by a direction in [1, n].  So the vertex 2^n comes last, and its
-    # edge to 0, direction n + 1, is a malformed row.
+    # A document's vertices are range(2^n) and each row lists its neighbors
+    # by directions in [1, n].  So the edge from 0 to the vertex 2^n,
+    # direction n + 1, can only be written as a malformed row.
     doc = {**to_json(dual8), **rotation_keys(with_vertex_above_n(dual8, first=False).rotation)}
     assert doc["rows"][0] == [1, 3, 8, 9]
     with pytest.raises(DocumentError, match=r"^row 0 must list at most 8 directions, each an integer in \[1, 8\]$"):
         from_json(doc)
-    vertex = to_json(dual8)
-    vertex["vertices"].append(1 << 8)
-    vertex["row_of"].append(vertex["row_of"][0])
-    with pytest.raises(DocumentError) as caught:
-        from_json(vertex)
-    assert str(caught.value) == "document rotation is inconsistent: vertex 0x100 has bits above dimension 8"
 
 
 def test_masks_past_the_cap_fail_the_rotation_check():
