@@ -10,8 +10,10 @@ rotation lists one pass per face and stops at the first edge it has
 already traced, so a malformed rotation cannot make it loop; each entry is
 walked and tested as a hypercube edge exactly once, by comparing each
 face's steps with the bits of its flip word.  Faces with one flip word share
-one flips tuple.  Graphs are frozen; the trace keeps the face list and the
-outer face's index, nothing per edge.
+one flips tuple.  While it runs it holds one int of slot marks per vertex,
+in a list indexed by vertex when the graph spans Q_n, as every graph the
+library builds or loads does.  Graphs are frozen; the trace keeps the face
+list and the outer face's index, nothing per edge.
 """
 
 from __future__ import annotations
@@ -109,9 +111,13 @@ def trace_faces(g: PlaneDualGraph) -> tuple[Face, ...]:
         raise InconsistentRotation(f"a vertex lists more than {n} neighbors")
     # Bit s of done[a] marks the edge from a to rotation[a][s] as traced.  A
     # neighbor listed twice is then two edges into one next edge, so the walk
-    # over the second copy cannot close its face.
+    # over the second copy cannot close its face.  Within the bounds, 2^n
+    # vertices are exactly range(2^n), and done is a list indexed by vertex;
+    # each neighbor is looked up in the rotation before it indexes done, so
+    # one that is not a vertex raises instead of reading another's slots.
+    spans = len(rotation) == 1 << n
     faces: list[Face] = []
-    done = dict.fromkeys(rotation, 0)
+    done = [0] * len(rotation) if spans else dict.fromkeys(rotation, 0)
     # Each distinct flip word, with the bit of each of its letters (-1 for a
     # zero step), so the faces share one flips tuple per word.
     words: dict[tuple[int, ...], tuple[tuple[int, ...], list[int]]] = {}
@@ -119,7 +125,7 @@ def trace_faces(g: PlaneDualGraph) -> tuple[Face, ...]:
     nbrs = rotation.get(ou, ())
     outer_bit = 1 << nbrs.index(ov) if ov in nbrs else 0
     outer = None
-    for u in sorted(rotation):
+    for u in range(len(rotation)) if spans else sorted(rotation):
         row = rotation[u]
         if done[u] == (1 << len(row)) - 1:
             continue
@@ -160,8 +166,9 @@ def trace_faces(g: PlaneDualGraph) -> tuple[Face, ...]:
                     f"face walk from ({u:#x}, {row[i]:#x}) runs into the traced "
                     f"edge ({a:#x}, {rotation[a][s]:#x})"
                 )
-            if outer is None and done.get(ou, 0) & outer_bit:
+            if outer is None and outer_bit and done[ou] & outer_bit:
                 outer = len(faces)
+            walk[0] = a  # the closing step's vertex: a row's object, not range's
             faces.append(Face(tuple(walk), flips))
     object.__setattr__(g, "_faces", tuple(faces))
     object.__setattr__(g, "_outer_face", outer)

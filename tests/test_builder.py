@@ -43,8 +43,10 @@ def test_k3_face_histogram(dual8):
 
 
 def test_trace_keeps_nothing_per_edge(dual16):
-    # The faces take 3 MiB; a map from each of the 141,304 directed edges to
-    # its face would add 16 MiB.
+    # The faces keep 1.7 MiB; a map from each of the 141,304 directed edges
+    # to its face would add 16 MiB.  While it runs, the trace holds one slot
+    # mask per vertex, in a list indexed by vertex: 2.5 MiB at its peak; a
+    # dict of the masks and a sorted copy of the keys would take 5.0 MiB.
     g = dual16
     fresh = PlaneDualGraph(g.n, g.rotation, g.outer_edge)
     tracemalloc.start()
@@ -52,11 +54,12 @@ def test_trace_keeps_nothing_per_edge(dual16):
         before = tracemalloc.get_traced_memory()[0]
         faces = trace_faces(fresh)
         outer = fresh.outer_face_index()
-        retained = tracemalloc.get_traced_memory()[0] - before
+        retained, peak = (m - before for m in tracemalloc.get_traced_memory())
     finally:
         tracemalloc.stop()
     assert len(faces) == 5118 and len(faces[outer]) == 32
     assert retained < 6 << 20
+    assert peak < 3.5 * (1 << 20)
 
 
 def test_faces_share_one_flips_tuple_per_word(dual8, dual16):

@@ -1,5 +1,6 @@
 import dataclasses
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -77,6 +78,18 @@ def test_outer_edge_missing_from_the_rotation_raises(dual8):
         g.outer_face_index()
     with pytest.raises(InconsistentRotation, match="outer_edge"):
         double(g)
+
+
+@pytest.mark.parametrize("tail", [-1, 1 << 8, 1 << 40])
+def test_outer_edge_off_the_vertices_raises(dual8, tail):
+    # dual8 spans Q_8, so the trace keeps its slot masks in a list indexed
+    # by vertex; a tail that is not a vertex must not index it.
+    g = dataclasses.replace(dual8, outer_edge=(tail, 0))
+    missing = re.escape(f"outer_edge ({tail:#x}, 0x0) is not in the rotation")
+    with pytest.raises(InconsistentRotation, match=missing):
+        g.outer_face_index()
+    with pytest.raises(InconsistentRotation, match=missing):
+        find_colorful_face(dataclasses.replace(g))
 
 
 def test_trace_refuses_masks_past_the_dimension_cap():

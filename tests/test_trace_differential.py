@@ -42,15 +42,22 @@ def assert_raised_iff_problems(g: PlaneDualGraph, raised: bool) -> None:
 
 @pytest.fixture(scope="module")
 def builds(dual16, doubling_chain):
-    return {**doubling_chain, 16: dual16, 17: double(dual16)}
+    # The n = 8 build again, with each row a list rather than a tuple.
+    listed = {v: list(nbrs) for v, nbrs in doubling_chain[8].rotation.items()}
+    return {
+        **doubling_chain,
+        16: dual16,
+        17: double(dual16),
+        "8-list-rows": PlaneDualGraph(8, listed, doubling_chain[8].outer_edge),
+    }
 
 
-@pytest.mark.parametrize("n", range(8, 18))
+@pytest.mark.parametrize("n", [*range(8, 18), "8-list-rows"])
 def test_build_traces_as_the_oracle(builds, n):
     g = builds[n]
     faces, outer = library(fresh(g))
     assert (faces, outer) == oracle.trace_faces(g)
-    assert outer is not None and len(faces[outer]) == 2 * n
+    assert outer is not None and len(faces[outer]) == 2 * g.n
 
 
 def test_mutants_raise_as_the_oracle(dual8, doubling_chain):

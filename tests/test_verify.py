@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -122,6 +123,29 @@ def test_disjoint_rings_fail_curve_checks():
     )
     report = verify_graph(g)
     assert not report.passed
+
+
+def test_sparse_graph_with_large_n_verifies_small():
+    # Four vertices of Q_32: the trace indexes its slot masks by vertex only
+    # for a graph that spans Q_n, and the component walks keep a set of the
+    # vertices they have seen, so nothing here is sized by 2^32.
+    high = 0x7FFFFFFF
+    top = high | 1 << 31
+    rotation = {0: (1,), 1: (0,), high: (top,), top: (high,)}
+    g = PlaneDualGraph(n=32, rotation=rotation, outer_edge=(0, 1))
+    tracemalloc.start()
+    try:
+        faces = trace_faces(g)
+        report = verify_graph(g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    assert [f.vertices for f in faces] == [(0, 1), (high, top)]
+    checks = {c.name: c for c in report.checks}
+    assert checks["spanning"] == CheckResult("spanning", False, "vertex 0x2 missing")
+    assert checks["connected"] == CheckResult("connected", False, "2 components")
+    assert checks["curves-simple"].witness == "direction 1: inside splits into 2 components"
 
 
 def test_rotation_problems_short_circuit():
