@@ -127,7 +127,7 @@ def _concentric_graph(
     """
     prefixes = ring_prefixes(n)
     two_n = 2 * n
-    rotation: dict[int, tuple[int, ...]] = {}
+    rotation: list[tuple[int, ...]] = [()] * (1 << n)
     for base in ring_bases:
         ring = [base ^ m for m in prefixes]
         for p, v in enumerate(ring):

@@ -54,10 +54,11 @@ def _double(g: PlaneDualGraph, verts: tuple[int, ...], vertex: int):
     """The doubled graph, joined at vertex and its complement on the colorful face verts.
 
     The second copy carries element n+1 on every vertex and is mirrored (all
-    rotations reversed).  It maps each vertex through one image dict, so each
-    new vertex is one int object wherever it is listed.  The original copy
-    shares every tuple row of g except the two that take a joining edge
-    (tuple() of a tuple is that tuple); a hand-made list row is copied.
+    rotations reversed).  It maps each vertex v through one image list,
+    image[v] = v | 2^n, so each new vertex is one int object wherever it is
+    listed.  The original copy shares every tuple row of g except the two
+    that take a joining edge (tuple() of a tuple is that tuple); a hand-made
+    list row is copied.
 
     Also returns the new outer face's walk from outer_edge: with w = verts,
     vertex = w_i, its complement w_j and x' the image of x, it is w_i, w_i',
@@ -68,13 +69,12 @@ def _double(g: PlaneDualGraph, verts: tuple[int, ...], vertex: int):
     if n + 1 > MAX_DIMENSION:
         raise DoublingError(f"doubling past dimension {MAX_DIMENSION} is unsupported")
     bit = 1 << n
-    image = {v: v | bit for v in g.rotation}
+    image = list(range(bit, 2 * bit))
     mirror = image.__getitem__
-
-    rotation: dict[int, tuple[int, ...]] = {}
-    for v, nbrs in g.rotation.items():
-        rotation[v] = tuple(nbrs)
-        rotation[image[v]] = tuple(map(mirror, reversed(nbrs)))
+    rotation = [
+        *map(tuple, g.rotation),
+        *(tuple(map(mirror, reversed(nbrs))) for nbrs in g.rotation),
+    ]
 
     complement = vertex ^ ((1 << n) - 1)
     length = len(verts)

@@ -3,9 +3,9 @@
 JSON is the canonical interchange format and round-trips losslessly; DOT and
 the two SVG views are one-way.  A JSON document (format 5) stores only what
 cannot be derived: edges and faces are re-traced from the rotation on load,
-and the concentric layout is kept as the base vertex of each ring.  Every
-graph a document holds spans Q_n, as an n-Venn diagram's dual must, so its
-vertices are range(2^n) and are not written.  The rotation is written by
+and the concentric layout is kept as the base vertex of each ring.  A
+graph's vertices are range(2^n), the indices of its rotation's rows, so
+they are not written.  The rotation is written by
 direction: rows lists each distinct row of neighbor directions once, and
 row_of[v] is the row index of vertex v.  A build has few distinct rows (130
 at n = 16), so the document takes 0.20 MB at n = 16, 0.89 MB at n = 18 and
@@ -37,11 +37,11 @@ class RenderError(ValueError):
 
 
 class DocumentError(ValueError):
-    """A JSON document is malformed, or a graph that does not span Q_n is written as one."""
+    """A JSON document is malformed."""
 
 
 def to_json(g: PlaneDualGraph, report=None) -> dict:
-    """Format 5 document for a graph that spans Q_n, optionally with its verification report."""
+    """Format 5 document of a graph, optionally with its verification report."""
     doc = {
         "format_version": FORMAT_VERSION,
         "n": g.n,
@@ -54,15 +54,11 @@ def to_json(g: PlaneDualGraph, report=None) -> dict:
     }
     if report is not None:
         doc["report"] = report.to_dict()
-    # The trace has bounded every mask to [0, 2^n), so 2^n vertices are all
-    # of Q_n, and made every entry a hypercube edge, so a row's bits u ^ v
+    # The trace has made every entry a hypercube edge, so a row's bits u ^ v
     # name its directions.  rows maps each distinct row to its index.
-    size, rotation = 1 << g.n, g.rotation
-    if len(rotation) != size:
-        raise DocumentError(f"a document needs all 2^{g.n} vertices; the graph has {len(rotation)}")
     rows, row_of = {}, []
-    for v in range(size):
-        row_of.append(rows.setdefault(tuple(map(v.__xor__, rotation[v])), len(rows)))
+    for v, nbrs in enumerate(g.rotation):
+        row_of.append(rows.setdefault(tuple(map(v.__xor__, nbrs)), len(rows)))
     doc["rows"] = [list(map(int.bit_length, row)) for row in rows]
     doc["row_of"] = row_of
     return doc
@@ -99,13 +95,13 @@ def _int_lists(values) -> bool:
     return set(map(type, values)) <= {list} and set(map(type, chain.from_iterable(values))) <= {int}
 
 
-def _rotation(doc: dict, n: int) -> dict:
-    """The {vertex: (neighbor, ...)} table of rows and row_of, both checked first.
+def _rotation(doc: dict, n: int) -> list:
+    """The rotation's list of rows, row v for vertex v, from rows and row_of, both checked first.
 
     row_of[v] is the row of vertex v, for each v in range(2^n).  A row may
-    list at most n directions, so the table is at most n times the size of
-    row_of, and each neighbor v ^ 2^(d-1) is a vertex: its key object, so
-    the verifier's lookups find it by identity.
+    list at most n directions, so the rotation is at most n times the size
+    of row_of, and each neighbor v ^ 2^(d-1) is one shared int object per
+    vertex, taken from one list of keys.
     """
     rows = doc.get("rows")
     _require(type(rows) is list, "rows must be a list of direction lists")
@@ -124,7 +120,7 @@ def _rotation(doc: dict, n: int) -> dict:
     bits = [[1 << (d - 1) for d in row] for row in rows]
     keys = list(range(1 << n))
     key = keys.__getitem__
-    return {v: tuple(map(key, map(v.__xor__, bits[r]))) for v, r in zip(keys, row_of)}
+    return [tuple(map(key, map(v.__xor__, bits[r]))) for v, r in zip(keys, row_of)]
 
 
 def from_json(doc: dict) -> PlaneDualGraph:
@@ -150,7 +146,9 @@ def from_json(doc: dict) -> PlaneDualGraph:
     edge = doc.get("outer_edge")
     _require(_int_lists([edge]) and len(edge) == 2, "outer_edge must be a [u, v] pair of integers")
     u, v = edge
-    _require(v in rotation.get(u, ()), f"outer_edge ({u:#x}, {v:#x}) is not in the rotation")
+    _require(
+        0 <= u < 1 << n and v in rotation[u], f"outer_edge ({u:#x}, {v:#x}) is not in the rotation"
+    )
     construction = None
     spec = doc.get("construction")
     if spec is not None:
@@ -163,7 +161,7 @@ def from_json(doc: dict) -> PlaneDualGraph:
         construction = (k, m)
     bases = doc.get("ring_bases")
     _require(
-        bases is None or _int_lists([bases]) and all(b in rotation for b in bases),
+        bases is None or _int_lists([bases]) and all(0 <= b < 1 << n for b in bases),
         "ring_bases must be null or a list of vertices of the rotation",
     )
     g = PlaneDualGraph(
@@ -208,7 +206,9 @@ def _layout_geometry(g: PlaneDualGraph):
         raise RenderError("no concentric layout")
     prefixes = ring_prefixes(g.n)
     layout = {b ^ m: (r, p) for r, b in enumerate(g.ring_bases, 1) for p, m in enumerate(prefixes)}
-    if layout.keys() != g.rotation.keys():
+    # Each mask is below 2^n, so a base in range keeps its ring in range.
+    size = 1 << g.n
+    if len(layout) != size or not all(0 <= b < size for b in g.ring_bases):
         raise RenderError("ring_bases do not cover the rotation")
     num_rings = len(g.ring_bases)
     gap = max(3.0, 360.0 / num_rings)

@@ -134,38 +134,33 @@ def face_condition_ok(flips, n: int) -> bool:
 
 
 def check_spanning(g: PlaneDualGraph) -> CheckResult:
-    """All 2^n subsets present as vertices."""
-    rotation = g.rotation
-    full = 1 << g.n
-    if len(rotation) == full and min(rotation) >= 0 and max(rotation) < full:
+    """All 2^n subsets present as vertices: a vertex with an empty row is missing."""
+    if all(g.rotation):
         return CheckResult("spanning", True)
-    missing = next((v for v in range(full) if v not in rotation), None)
-    if missing is not None:
-        return CheckResult("spanning", False, f"vertex {missing:#x} missing")
-    stray = next(v for v in sorted(rotation) if not 0 <= v < full)
-    return CheckResult("spanning", False, f"vertex {stray:#x} outside Q_{g.n}")
+    missing = next(v for v, nbrs in enumerate(g.rotation) if not nbrs)
+    return CheckResult("spanning", False, f"vertex {missing:#x} missing")
 
 
-def _component_roots(rotation: dict[int, tuple[int, ...]], skip_bit: int) -> list[int]:
+def _component_roots(rotation: list[tuple[int, ...]], skip_bit: int) -> list[int]:
     """First vertex reached in each component, leaving out edges u, v with u ^ v == skip_bit.
 
     skip_bit 0 keeps every edge.  One iterative walk over a consistent
-    rotation; the seen set grows with the rotation, not with 2^n, so a
-    sparse in-memory graph (no document is sparse) with a large n stays small.
+    rotation, with a seen flag per vertex; a vertex with an empty row is
+    missing from the graph and starts no component.
     """
-    seen: set[int] = set()
+    seen = bytearray(len(rotation))
     roots = []
-    for root in rotation:
-        if root in seen:
+    for root, row in enumerate(rotation):
+        if seen[root] or not row:
             continue
         roots.append(root)
-        seen.add(root)
+        seen[root] = 1
         stack = [root]
         while stack:
             u = stack.pop()
             for v in rotation[u]:
-                if v not in seen and u ^ v != skip_bit:
-                    seen.add(v)
+                if not seen[v] and u ^ v != skip_bit:
+                    seen[v] = 1
                     stack.append(v)
     return roots
 

@@ -41,8 +41,8 @@ def rotation_keys(rotation):
     """The rows and row_of of a format 5 document, row_of in vertex order, for hypercube edges."""
     rows = {}
     row_of = [
-        rows.setdefault(tuple((u ^ v).bit_length() for u in rotation[v]), len(rows))
-        for v in sorted(rotation)
+        rows.setdefault(tuple((u ^ v).bit_length() for u in nbrs), len(rows))
+        for v, nbrs in enumerate(rotation)
     ]
     return {"rows": list(map(list, rows)), "row_of": row_of}
 
@@ -51,7 +51,7 @@ def _format_3_rotation(doc):
     """Replace rows and row_of by the {str(vertex): neighbors} rotation of formats 1-3."""
     g = from_json(doc)
     del doc["rows"], doc["row_of"]
-    doc["rotation"] = {str(v): list(nbrs) for v, nbrs in g.rotation.items()}
+    doc["rotation"] = {str(v): list(nbrs) for v, nbrs in enumerate(g.rotation)}
     return g
 
 

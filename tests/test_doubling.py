@@ -94,22 +94,26 @@ def test_outer_edge_off_the_vertices_raises(dual8, tail):
 
 def test_trace_refuses_masks_past_the_dimension_cap():
     # Masks live in a machine word: a graph past it is refused where it is
-    # made, and at the cap the trace refuses a vertex past bit 32 instead of
-    # tracing a graph no other stage would accept.
+    # made.  So is a rotation that is not a list of one row per vertex, such
+    # as a dict keyed by mask, before the trace could read it.
     far = 1 << 32
     rotation = {0: [1, far], 1: [0], far: [0]}
     with pytest.raises(ValueError, match=r"a graph needs 1 <= n <= 32, got 33"):
         PlaneDualGraph(33, rotation, (0, 1))
-    with pytest.raises(InconsistentRotation, match=r"vertex masks must lie in \[0, 2\^32\)"):
-        trace_faces(PlaneDualGraph(32, rotation, (0, 1)))
+    rows = r"^the rotation must be a list of 2\^32 rows, one per vertex$"
+    for refused in (rotation, list(rotation.values()), dict(enumerate([()] * 4))):
+        with pytest.raises(ValueError, match=rows):
+            PlaneDualGraph(32, refused, (0, 1))
+    with pytest.raises(ValueError, match=r"^the rotation must be a list of 2\^2 rows"):
+        PlaneDualGraph(2, dict(enumerate([(1, 2), (0, 3), (3, 0), (2, 1)])), (0, 1))
 
 
 def test_double_without_colorful_face():
     # a plain 6-cycle in Q_4 has no face of length 2n = 8
     walk = [0b0000, 0b0001, 0b0011, 0b0111, 0b0110, 0b0100]
-    rotation = {
-        v: [walk[(i + 1) % 6], walk[(i - 1) % 6]] for i, v in enumerate(walk)
-    }
+    rotation = [[] for _ in range(16)]
+    for i, v in enumerate(walk):
+        rotation[v] = [walk[(i + 1) % 6], walk[(i - 1) % 6]]
     g = PlaneDualGraph(n=4, rotation=rotation, outer_edge=(walk[0], walk[1]))
     assert find_colorful_face(g) is None
     with pytest.raises(DoublingError):
@@ -205,22 +209,22 @@ def test_both_entry_points_check_the_face_count(monkeypatch, dual8):
 
 def test_mirrored_copy_lists_each_vertex_as_one_object(dual8):
     d = double(dual8)
-    keys = {v: v for v in d.rotation}
     bit = 1 << dual8.n
-    mirrored = [v for v in d.rotation if v & bit]
-    assert len(mirrored) == dual8.vertex_count
-    for v in mirrored:
-        assert all(u is keys[u] for u in d.rotation[v] if u & bit)
+    assert len(d.rotation[bit:]) == dual8.vertex_count
+    canon = {}
+    for row in d.rotation:
+        assert all(canon.setdefault(u, u) is u for u in row if u & bit)
+    assert len(canon) == dual8.vertex_count
 
 
 def test_doubled_graph_shares_every_row_it_leaves_alone(dual8):
-    rows = {v: list(nbrs) for v, nbrs in dual8.rotation.items()}
+    rows = [list(nbrs) for nbrs in dual8.rotation]
     _, vertex = find_colorful_face(dual8)
     d = double(dual8)
-    shared = {v for v in dual8.rotation if d.rotation[v] is dual8.rotation[v]}
     # only the two vertices that take a joining edge get new rows
-    assert dual8.rotation.keys() - shared == {vertex, vertex ^ 255}
-    assert {v: list(nbrs) for v, nbrs in dual8.rotation.items()} == rows
+    unshared = {v for v, nbrs in enumerate(dual8.rotation) if d.rotation[v] is not nbrs}
+    assert unshared == {vertex, vertex ^ 255}
+    assert [list(nbrs) for nbrs in dual8.rotation] == rows
 
 
 def test_build_venn_traces_the_base_and_the_result_only(monkeypatch, fresh_bases):
@@ -290,7 +294,7 @@ from minvenn.plane_graph import InconsistentRotation, PlaneDualGraph, crossing_c
 g = build_venn_dual(3)
 assert g.rotation[0] == (1, 4, 128)
 for call in (trace_faces, crossing_count, double):
-    rotation = dict(g.rotation)
+    rotation = list(g.rotation)
     rotation[0] = [1, 4, 1, 128]
     bad = PlaneDualGraph(g.n, rotation, g.outer_edge, g.construction)
     try:

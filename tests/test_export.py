@@ -32,15 +32,14 @@ from minvenn.export import (
 from minvenn.plane_graph import InconsistentRotation, PlaneDualGraph, rotation_problems
 from minvenn.verify import CheckResult, VerificationReport, verify_graph
 
-from conftest import rotation_keys
-
 
 def _single_ring_graph(n):
+    """The ring through ring_prefixes(n); every vertex off it has an empty row."""
     ring = ring_prefixes(n)
     two_n = 2 * n
-    rotation = {
-        v: (ring[(i + 1) % two_n], ring[(i - 1) % two_n]) for i, v in enumerate(ring)
-    }
+    rotation = [()] * (1 << n)
+    for i, v in enumerate(ring):
+        rotation[v] = (ring[(i + 1) % two_n], ring[(i - 1) % two_n])
     return PlaneDualGraph(n=n, rotation=rotation, outer_edge=(ring[0], ring[1]))
 
 
@@ -85,37 +84,35 @@ def test_round_trip_doubled(doubling_chain):
 
 
 def test_round_trip_non_spanning_ring():
-    # 8 of the 16 vertices of Q_4: the verifier's spanning check names a
-    # missing vertex, and no document can hold the graph, since a document's
-    # vertices are all of Q_n.
+    # 8 of the 16 vertices of Q_4: the other 8 rows are empty, and a
+    # document writes them as one empty row.  The loaded graph is the same,
+    # and the verifier's spanning check still names a missing vertex.
     g = _single_ring_graph(4)
-    assert CheckResult("spanning", False, "vertex 0x2 missing") in verify_graph(g).checks
-    with pytest.raises(DocumentError, match=r"^a document needs all 2\^4 vertices; the graph has 8$"):
-        to_json(g)
+    doc = to_json(g)
+    assert doc["rows"][doc["row_of"][2]] == []
+    loaded = from_json(load_json(dump_json(doc)))
+    assert loaded == g
+    assert CheckResult("spanning", False, "vertex 0x2 missing") in verify_graph(loaded).checks
 
 
 def test_sparse_document_with_large_n_stays_small():
-    # Four vertices of Q_32, two of them near the top of the range.  Neither
-    # the writer nor the reader may use memory in proportion to 2^32 to
-    # refuse them.
-    high = 0x7FFFFFFF
-    top = high | 1 << 31
-    rotation = {0: (1,), 1: (0,), high: (top,), top: (high,)}
-    g = PlaneDualGraph(n=32, rotation=rotation, outer_edge=(0, 1))
+    # Two edges of Q_32 in a document that gives only four vertices a row.
+    # A graph holds a row for each of the 2^32 vertices, so the reader
+    # refuses the document, and may not use memory in proportion to 2^32
+    # to do so.
     doc = {
         "format_version": 5,
         "n": 32,
         "construction": None,
-        **rotation_keys(rotation),
+        # 0 and 1 joined in direction 1, 0x7fffffff and 0xffffffff in direction 32
+        "rows": [[1], [32]],
+        "row_of": [0, 0, 1, 1],
         "outer_edge": [0, 1],
         "crossings": 2,
         "ring_bases": None,
     }
-    assert doc["rows"] == [[1], [32]] and doc["row_of"] == [0, 0, 1, 1]
     tracemalloc.start()
     try:
-        with pytest.raises(DocumentError, match=r"^a document needs all 2\^32 vertices; the graph has 4$"):
-            to_json(g)
         with pytest.raises(DocumentError, match=r"^row_of must give each of the 2\^32 vertices a row"):
             from_json(doc)
         peak = tracemalloc.get_traced_memory()[1]
@@ -180,7 +177,7 @@ def test_rotation_defect_keeps_its_witness(tmp_path, dual8, doc8_text, edit, wit
     # neighbor; the trace refuses both and rotation_problems names them.
     doc = _one_vertex_edit(json.loads(doc8_text), 1, edit)
     nbrs = [1 ^ 1 << (d - 1) for d in doc["rows"][-1]]
-    assert rotation_problems({**dual8.rotation, 1: tuple(nbrs)}, 8)[0] == witness
+    assert rotation_problems([dual8.rotation[0], tuple(nbrs), *dual8.rotation[2:]], 8)[0] == witness
     with pytest.raises(DocumentError) as caught:
         from_json(doc)
     assert str(caught.value) == f"document rotation is inconsistent: {witness}"
@@ -190,9 +187,12 @@ def test_rotation_defect_keeps_its_witness(tmp_path, dual8, doc8_text, edit, wit
 
 
 def test_loaded_neighbors_are_key_objects(dual16):
+    # Each neighbor is taken from one list of keys, so a vertex is one int
+    # object in every row that lists it.
     g = from_json(load_json(dump_json(to_json(dual16))))
-    canon = {v: v for v in g.rotation}
-    assert all(w is canon[w] for row in g.rotation.values() for w in row)
+    canon = {}
+    assert all(canon.setdefault(w, w) is w for row in g.rotation for w in row)
+    assert len(canon) == 1 << 16
 
 
 def test_from_json_rejects_malformed_document(malformed_doc):
@@ -268,12 +268,11 @@ def built_8_to_12():
 
 
 def _without(g, v, edit):
-    """g with vertex v's row deleted or emptied; unless unrepaired, v leaves every other row too."""
-    rotation = {u: row for u, row in g.rotation.items() if u != v}
-    if edit != "delete-unrepaired":
-        rotation = {u: tuple(w for w in row if w != v) for u, row in rotation.items()}
-    if edit == "empty":
-        rotation[v] = ()
+    """g with vertex v's row emptied; unless unrepaired, v leaves every other row too."""
+    rotation = list(g.rotation)
+    if edit != "empty-unrepaired":
+        rotation = [tuple(w for w in row if w != v) for row in rotation]
+    rotation[v] = ()
     return dataclasses.replace(g, rotation=rotation)
 
 
@@ -281,25 +280,23 @@ def _without(g, v, edit):
 @given(data=st.data())
 def test_to_json_of_edited_rows(built_8_to_12, data):
     g, report = built_8_to_12[data.draw(st.integers(8, 12), label="n")]
-    edit = data.draw(st.sampled_from(("none", "delete", "empty", "delete-unrepaired")), label="edit")
+    edit = data.draw(st.sampled_from(("none", "empty", "empty-unrepaired")), label="edit")
     if edit != "none":
-        g = _without(g, data.draw(st.sampled_from(sorted(g.rotation)), label="vertex"), edit)
+        g = _without(g, data.draw(st.integers(0, (1 << g.n) - 1), label="vertex"), edit)
         report = verify_graph(g)
     if not data.draw(st.booleans(), label="with report"):
         report = None
-    spans = len(g.rotation) == 1 << g.n
     try:
         doc = to_json(g, report=report)
     except InconsistentRotation:
         # The trace refuses the rotation before any document is made.
         assert rotation_problems(g.rotation, g.n)
-    except DocumentError:
-        # A consistent rotation that lost a vertex has no document.
-        assert not spans and not rotation_problems(g.rotation, g.n)
     else:
-        assert spans and not rotation_problems(g.rotation, g.n)
+        # A consistent rotation that lost a vertex writes it as an empty row.
+        assert not rotation_problems(g.rotation, g.n)
         assert doc.get("report") == (None if report is None else report.to_dict())
         assert load_json(dump_json(doc)) == doc
+        assert [doc["rows"][r] for r in doc["row_of"]].count([]) == (edit != "none")
 
 
 def test_gallery_documents_load(tmp_path, dual8, doubling_chain):

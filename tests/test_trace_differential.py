@@ -6,9 +6,12 @@ every mutant of the n = 8 and n = 9 builds that `mutate` makes.  A
 rotation that lists a neighbor twice is where the two part on purpose: the
 oracle keyed traced edges by their ends, so the repeat looked traced and
 could go unnoticed; the library's trace marks each rotation slot and
-always raises.  It also bounds the vertex masks by 2^n and the degrees by
-n, which the oracle never did.  On every mutant and every edit, the
-library's trace raises exactly when `rotation_problems` names a defect.
+always raises.  It also bounds the degrees by n, which the oracle never
+did.  The rotation is a list of 2^n rows, so a neighbor -1 reads the last
+row and a neighbor 2^n reads none; both, and a neighbor that is no
+hypercube neighbor, raise InconsistentRotation in both traces.  On every
+mutant and every edit, the library's trace raises exactly when
+`rotation_problems` names a defect.
 """
 
 import pytest
@@ -43,7 +46,7 @@ def assert_raised_iff_problems(g: PlaneDualGraph, raised: bool) -> None:
 @pytest.fixture(scope="module")
 def builds(dual16, doubling_chain):
     # The n = 8 build again, with each row a list rather than a tuple.
-    listed = {v: list(nbrs) for v, nbrs in doubling_chain[8].rotation.items()}
+    listed = [list(nbrs) for nbrs in doubling_chain[8].rotation]
     return {
         **doubling_chain,
         16: dual16,
@@ -64,7 +67,7 @@ def test_mutants_raise_as_the_oracle(dual8, doubling_chain):
     kinds = set()
     count = 0
     for g in (dual8, doubling_chain[9]):
-        for v in sorted(g.rotation):
+        for v in range(1 << g.n):
             for kind in MUTATIONS:
                 mutant = mutate(g, v, kind)
                 got = outcome(library, mutant)
@@ -73,12 +76,12 @@ def test_mutants_raise_as_the_oracle(dual8, doubling_chain):
                 kinds.add(got[0] if isinstance(got[0], type) else "faces")
                 count += 1
     assert count == 5376
-    assert kinds == {"faces", ValueError}  # non-hypercube-edge fails in edge_direction
+    assert kinds == {"faces", InconsistentRotation}
 
 
 def edit(g: PlaneDualGraph, v: int, kind: str) -> PlaneDualGraph:
     """A copy of g whose rotation at v is broken in a way mutate never breaks it."""
-    rotation = {u: list(nbrs) for u, nbrs in g.rotation.items()}
+    rotation = [list(nbrs) for nbrs in g.rotation]
     nbrs = rotation[v]
     if kind == "one-sided":
         nbrs.pop(0)  # v's neighbor still lists v
@@ -86,11 +89,16 @@ def edit(g: PlaneDualGraph, v: int, kind: str) -> PlaneDualGraph:
         nbrs.insert(1, v)
     elif kind == "negative":
         nbrs.insert(1, -1 - v)
+    elif kind == "minus-one":
+        nbrs.insert(1, -1)
+    elif kind == "two-to-the-n":
+        nbrs.insert(1, 1 << g.n)
+    elif kind == "non-neighbor":
+        nbrs.insert(1, v ^ 3)
     elif kind == "past-the-cap":
         nbrs.insert(1, v ^ 1 << 40)
     elif kind == "above-n":
-        nbrs.append(v | 1 << g.n)
-        rotation[v | 1 << g.n] = [v]
+        nbrs.append(v | 1 << g.n)  # a vertex with no row
     elif kind == "over-degree":
         nbrs += nbrs[:1] * (g.n + 1 - len(nbrs))
     else:
@@ -98,13 +106,17 @@ def edit(g: PlaneDualGraph, v: int, kind: str) -> PlaneDualGraph:
     return PlaneDualGraph(g.n, rotation, g.outer_edge)
 
 
-@pytest.mark.parametrize("kind", ["one-sided", "self-loop", "negative"])
+@pytest.mark.parametrize(
+    "kind", ["one-sided", "self-loop", "negative", "minus-one", "two-to-the-n", "non-neighbor"]
+)
 def test_inconsistent_rotations_raise_as_the_oracle(dual8, kind):
+    # A list reads rotation[-1] as the last row, where a dict raised
+    # KeyError; the step to -1 still fails the trace's hypercube-edge test.
     g = dual8
-    for v in sorted(g.rotation):
+    for v in range(1 << g.n):
         broken = edit(g, v, kind)
         got = outcome(library, broken)
-        assert isinstance(got[0], type)
+        assert got[0] is InconsistentRotation
         assert got == outcome(oracle.trace_faces, broken), v
         assert_raised_iff_problems(broken, True)
 
@@ -113,7 +125,7 @@ def test_inconsistent_rotations_raise_as_the_oracle(dual8, kind):
 EDIT_MESSAGES = {
     "repeat": None,
     "past-the-cap": None,
-    "above-n": r"vertex masks must lie in \[0, 2\^8\)",
+    "above-n": r"missing from the rotation at 0x1",
     "over-degree": "a vertex lists more than 8 neighbors",
 }
 
@@ -121,16 +133,16 @@ EDIT_MESSAGES = {
 @pytest.mark.parametrize("kind", sorted(EDIT_MESSAGES))
 def test_every_rotation_slot_is_walked(dual8, kind):
     # Each slot is walked, so neither a repeated neighbor nor one past the
-    # mask bound can be skipped, and the trace's bounds refuse a vertex
-    # past bit n and a vertex with more than n entries.  The oracle's edge
-    # keys let every repeat through (its copy looked traced), and it knew
-    # neither bound.
+    # last row can be skipped: a neighbor past bit n has no row to walk
+    # into, and the trace's bound refuses a vertex with more than n entries.
+    # The oracle's edge keys let every repeat through (its copy looked
+    # traced), and it knew no degree bound.
     g = dual8
     passed = 0
-    for v in sorted(g.rotation):
+    for v in range(1 << g.n):
         broken = edit(g, v, kind)
         with pytest.raises(InconsistentRotation, match=EDIT_MESSAGES[kind]):
             trace_faces(broken)
         assert_raised_iff_problems(broken, True)
         passed += not isinstance(outcome(oracle.trace_faces, broken)[0], type)
-    assert passed == (0 if kind == "past-the-cap" else len(g.rotation))
+    assert passed == (0 if kind in ("past-the-cap", "above-n") else len(g.rotation))

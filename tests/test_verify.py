@@ -102,7 +102,9 @@ def test_spanning_failure_has_witness():
     from minvenn.bases import ring_prefixes
 
     ring = [m for m in ring_prefixes(4)]
-    rotation = {v: [ring[(i + 1) % 8], ring[(i - 1) % 8]] for i, v in enumerate(ring)}
+    rotation = [[] for _ in range(16)]
+    for i, v in enumerate(ring):
+        rotation[v] = [ring[(i + 1) % 8], ring[(i - 1) % 8]]
     g = PlaneDualGraph(n=4, rotation=rotation, outer_edge=(ring[0], ring[1]))
     res = check_spanning(g)
     assert not res.passed
@@ -126,30 +128,23 @@ def test_disjoint_rings_fail_curve_checks():
 
 
 def test_sparse_graph_with_large_n_verifies_small():
-    # Four vertices of Q_32: the trace indexes its slot masks by vertex only
-    # for a graph that spans Q_n, and the component walks keep a set of the
-    # vertices they have seen, so nothing here is sized by 2^32.
-    high = 0x7FFFFFFF
-    top = high | 1 << 31
-    rotation = {0: (1,), 1: (0,), high: (top,), top: (high,)}
-    g = PlaneDualGraph(n=32, rotation=rotation, outer_edge=(0, 1))
+    # Two edges of Q_32 as a four-row rotation.  A graph holds a row for
+    # each of the 2^32 vertices, so the rotation is refused where the graph
+    # is made, before the trace or the verifier sees it, and nothing of
+    # size 2^32 is allocated to refuse it.
+    rotation = [(1,), (0,), (3,), (2,)]
     tracemalloc.start()
     try:
-        faces = trace_faces(g)
-        report = verify_graph(g)
+        with pytest.raises(ValueError, match=r"^the rotation must be a list of 2\^32 rows, one per vertex$"):
+            PlaneDualGraph(n=32, rotation=rotation, outer_edge=(0, 1))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 1 << 20
-    assert [f.vertices for f in faces] == [(0, 1), (high, top)]
-    checks = {c.name: c for c in report.checks}
-    assert checks["spanning"] == CheckResult("spanning", False, "vertex 0x2 missing")
-    assert checks["connected"] == CheckResult("connected", False, "2 components")
-    assert checks["curves-simple"].witness == "direction 1: inside splits into 2 components"
 
 
 def test_rotation_problems_short_circuit():
-    g = PlaneDualGraph(n=2, rotation={0: [1], 1: []}, outer_edge=(0, 1))
+    g = PlaneDualGraph(n=2, rotation=[[1], [], [], []], outer_edge=(0, 1))
     report = verify_graph(g)
     assert not report.passed
     assert report.checks[0].name == "rotation-consistent"
@@ -308,7 +303,7 @@ def test_rows_cannot_be_edited_in_place(dual8, source):
         "from_json": lambda: from_json(to_json(dual8)),
     }[source]()
     faces = trace_faces(g)
-    for nbrs in g.rotation.values():
+    for nbrs in g.rotation:
         with pytest.raises(TypeError):
             nbrs[0], nbrs[1] = nbrs[1], nbrs[0]
     assert trace_faces(g) is faces
@@ -316,24 +311,23 @@ def test_rows_cannot_be_edited_in_place(dual8, source):
 
 
 def with_vertex_above_n(g: PlaneDualGraph, first: bool) -> PlaneDualGraph:
-    """g with the vertex 2^n joined both ways to 0, listed first or last."""
+    """g with the vertex 2^n, which has no row, listed first or last in row 0."""
     w = 1 << g.n
-    rotation = {u: list(nbrs) for u, nbrs in g.rotation.items()}
-    rotation[0].append(w)
-    rotation = {w: [0], **rotation} if first else {**rotation, w: [0]}
+    rotation = [list(nbrs) for nbrs in g.rotation]
+    rotation[0].insert(0 if first else len(rotation[0]), w)
     return dataclasses.replace(g, rotation=rotation)
 
 
 @pytest.mark.parametrize(
     "first, witness",
     [
-        (True, "vertex 0x100 has bits above dimension 8"),
+        (True, "edge (0x100, 0x0) has direction above 8"),
         (False, "edge (0x100, 0x0) has direction above 8"),
     ],
 )
 def test_masks_above_n_are_named(dual8, first, witness):
-    # rotation_problems names the first defect in rotation order: the new
-    # vertex itself when it comes first, else the edge from 0 to it.
+    # The rotation has no row for 2^n, and rotation_problems names the edge
+    # from 0 to it wherever row 0 lists it.
     g = with_vertex_above_n(dual8, first)
     assert verify_graph(g).checks == [CheckResult("rotation-consistent", False, witness)]
 
@@ -348,13 +342,15 @@ def test_masks_above_n_in_a_document(dual8):
         from_json(doc)
 
 
-def test_masks_past_the_cap_fail_the_rotation_check():
-    # No graph has n past 32, and at n = 32 rotation_problems names the
-    # edge to the mask past the word.
+def test_masks_past_the_cap_fail_the_rotation_check(dual8):
+    # No graph has n past 32, and rotation_problems names the edge to a
+    # mask past the 32-bit word, which no row can stand for.
     far = 1 << 32
-    g = PlaneDualGraph(32, {0: [1, far], 1: [0], far: [0]}, (0, 1))
+    rotation = [list(nbrs) for nbrs in dual8.rotation]
+    rotation[0].append(far)
+    g = dataclasses.replace(dual8, rotation=rotation)
     assert verify_graph(g).checks == [
-        CheckResult("rotation-consistent", False, "edge (0x100000000, 0x0) has direction above 32")
+        CheckResult("rotation-consistent", False, "edge (0x100000000, 0x0) has direction above 8")
     ]
 
 

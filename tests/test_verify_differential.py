@@ -91,9 +91,11 @@ def mutate(g: PlaneDualGraph, v: int, kind: str) -> PlaneDualGraph:
     three edge insertions put the new neighbor at index 1 on both sides.
     move-edge first deletes the edge to nbrs[0], a ring edge in a concentric
     build, and then adds the edge to the smallest hypercube neighbor that
-    was absent before, so the edge count stays the same.
+    was absent before, so the edge count stays the same.  drop-vertex
+    empties v's row, which leaves v out of the graph, and removes v from
+    its neighbors' rows.
     """
-    rotation = {u: list(nbrs) for u, nbrs in g.rotation.items()}
+    rotation = [list(nbrs) for nbrs in g.rotation]
     nbrs = rotation[v]
     if kind in ("add-edge", "non-hypercube-edge", "move-edge"):
         if kind == "non-hypercube-edge":
@@ -111,8 +113,9 @@ def mutate(g: PlaneDualGraph, v: int, kind: str) -> PlaneDualGraph:
     elif kind == "delete-edge":
         rotation[nbrs.pop(0)].remove(v)
     else:
-        for u in rotation.pop(v):
+        for u in nbrs:
             rotation[u].remove(v)
+        nbrs.clear()
     return PlaneDualGraph(
         n=g.n, rotation=rotation, outer_edge=g.outer_edge, construction=g.construction
     )
@@ -138,7 +141,7 @@ def test_mutations_agree_with_oracle(dual8, doubling_chain):
     witnesses = set()
     caught = {kind: Counter() for kind in MUTATIONS}
     for g in (dual8, doubling_chain[9]):
-        for v in sorted(g.rotation)[:64]:
+        for v in range(64):
             for kind in MUTATIONS:
                 mutant = mutate(g, v, kind)
                 checks = assert_agrees(mutant)

@@ -5,28 +5,40 @@ compares the library's trace against: it computes each step's direction
 with `edge_direction`, once in the scan over the rotation entries and once
 in the walk, and keys traced edges by `a << 5 | (direction - 1)`.
 Returns the faces and the outer face index instead of caching them.
+
+Since the rotation became a list of 2^n rows, row v for vertex v, the
+oracle reads it as one: its scan enumerates the rows, and a neighbor past
+2^n raises IndexError where a missing key raised KeyError.  A step off Q_n
+raises InconsistentRotation with `edge_direction`'s message, as the
+library's trace does.  Its algorithm is unchanged.
 """
 
 from __future__ import annotations
 
-from minvenn.hypercube import MAX_DIMENSION, edge_direction
+from minvenn.hypercube import edge_direction
 from minvenn.plane_graph import Face, InconsistentRotation, PlaneDualGraph
+
+
+def _direction(u: int, v: int) -> int:
+    try:
+        return edge_direction(u, v)
+    except ValueError as exc:
+        raise InconsistentRotation(str(exc)) from None
 
 
 def trace_faces(g: PlaneDualGraph) -> tuple[list[Face], int | None]:
     rotation = g.rotation
-    if rotation and (min(rotation) < 0 or max(rotation) >> MAX_DIMENSION):
-        raise InconsistentRotation(f"vertex masks must lie in [0, 2^{MAX_DIMENSION})")
     # Edge (a, b) is traced once a << 5 | (direction - 1) is in the set, one to one
     # under that bound.  An outer edge not in the rotation gets no key: it would alias another.
     faces: list[Face] = []
     traced: set[int] = set()
     ou, ov = g.outer_edge
-    outer_key = ou << 5 | ((ou ^ ov).bit_length() - 1) if ov in rotation.get(ou, ()) else -1
+    listed = 0 <= ou < len(rotation) and ov in rotation[ou]
+    outer_key = ou << 5 | ((ou ^ ov).bit_length() - 1) if listed else -1
     outer = None
-    for u in sorted(rotation):
-        for v in rotation[u]:
-            a, b, d = u, v, edge_direction(u, v)
+    for u, row in enumerate(rotation):
+        for v in row:
+            a, b, d = u, v, _direction(u, v)
             if a << 5 | (d - 1) in traced:
                 continue
             walk, flips = [], []
@@ -37,11 +49,11 @@ def trace_faces(g: PlaneDualGraph) -> tuple[list[Face], int | None]:
                 try:
                     nbrs = rotation[b]
                     a, b = b, nbrs[nbrs.index(a) + 1 - len(nbrs)]
-                except (KeyError, ValueError):
+                except (IndexError, ValueError):
                     raise InconsistentRotation(
                         f"edge ({a:#x}, {b:#x}) missing from the rotation at {b:#x}"
                     ) from None
-                d = edge_direction(a, b)
+                d = _direction(a, b)
             if (a, b) != (u, v):
                 raise InconsistentRotation(
                     f"face walk from ({u:#x}, {v:#x}) runs into the traced edge ({a:#x}, {b:#x})"

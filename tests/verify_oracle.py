@@ -4,7 +4,8 @@ Kept unchanged as the reference that `tests/test_verify_differential.py`
 compares `minvenn.verify` against: the union-find curve checks (2n
 union-finds, one per side of every curve, and one full face sweep per
 direction) and the face-pairs check that judges every face, not every
-distinct flip word.
+distinct flip word.  Since the rotation became a list of 2^n rows, the
+union-finds hold the graph's vertices, the rows that are not empty.
 """
 
 from __future__ import annotations
@@ -34,8 +35,8 @@ class UnionFind:
 
 
 def check_connected(g: PlaneDualGraph) -> CheckResult:
-    uf = UnionFind(g.rotation)
-    for u, nbrs in g.rotation.items():
+    uf = UnionFind(g.vertices())
+    for u, nbrs in enumerate(g.rotation):
         for v in nbrs:
             uf.union(u, v)
     if uf.count == 1:
@@ -96,7 +97,7 @@ def check_curves(g: PlaneDualGraph) -> CheckResult:
     for j in range(1, n + 1):
         jbit = 1 << (j - 1)
         for side_name, keep in (("inside", True), ("outside", False)):
-            side = [v for v in g.rotation if bool(v & jbit) == keep]
+            side = [v for v in g.vertices() if bool(v & jbit) == keep]
             uf = UnionFind(side)
             member = set(side)
             for u in side:
